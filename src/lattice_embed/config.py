@@ -74,7 +74,6 @@ _SCHEMA: dict[str, dict] = {
     },
     "field": {
         "tube_radius": (float, 0.1, repr),
-        "fd_step": (float, None, repr),
         "mu": (float, 0.0, repr),
     },
     "quadrature": {
@@ -143,7 +142,6 @@ class RunConfig:
             lam=e["lambda"],
             mu=f["mu"],
             tube_radius=f["tube_radius"],
-            activation_step=f["fd_step"],
             quadrature_resolution=quad["resolution"],
             quadrature_seed=quad["seed"],
             eps_parallel=quad["eps_parallel"],
@@ -191,13 +189,6 @@ def _validate(config: RunConfig) -> None:
     require("energy", "lambda", e["lambda"] >= 0.0, "must be nonnegative")
     f = config.sections["field"]
     require("field", "tube_radius", f["tube_radius"] > 0.0, "must be positive")
-    if f["fd_step"] is not None:
-        require(
-            "field",
-            "fd_step",
-            0.0 < f["fd_step"] < f["tube_radius"] / 10.0,
-            "must lie in (0, tube_radius / 10)",
-        )
     quad = config.sections["quadrature"]
     require("quadrature", "resolution", quad["resolution"] >= 4, "must be >= 4")
     require(

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndeterminateError, NoSolutionError
-from .field import ActivationField, activation_gradient, regularization_gradient
+from .field import (
+    ActivationField,
+    _activation_gradient_at,
+    _regularization_gradient_at,
+)
 from .geometry import ManifoldSpec, TangentFrame, closest_point, decompose, tangent_frame
 from .quadrature import (
     QuadratureRule,
@@ -41,8 +45,6 @@ class EnergyParams:
     lam: float = 0.0
     mu: float = 0.0
     tube_radius: float = 0.1
-    activation_step: float | None = None  # h for activation derivatives
-    curvature_step: float = 1e-3  # h for the pullback-gradient differences
     quadrature_resolution: int = 64
     quadrature_seed: int = 0
     eps_parallel: float = 1e-8
@@ -56,11 +58,7 @@ class EnergyParams:
             raise ValueError("tube_radius must be positive")
 
     def field_for(self, spec: ManifoldSpec) -> ActivationField:
-        return ActivationField(
-            manifold=spec,
-            tube_radius=self.tube_radius,
-            fd_step=self.activation_step,
-        )
+        return ActivationField(manifold=spec, tube_radius=self.tube_radius)
 
     def rule_for(self, spec: ManifoldSpec, seed: int | None = None) -> QuadratureRule:
         return build_quadrature(
@@ -126,7 +124,7 @@ def total_energy(
             spec, proj.u, rule, params.eps_parallel
         )
     if params.lam != 0.0:
-        grad_a = activation_gradient(params.field_for(spec), q)
+        grad_a = _activation_gradient_at(params.field_for(spec), q, proj.point)
         value += 0.5 * params.lam * float(grad_a @ grad_a)
     return value
 
@@ -138,8 +136,10 @@ def total_gradient(
     *,
     rule: QuadratureRule | None = None,
 ) -> Array:
-    """Gradient of total_energy: frozen-projection alignment gradient plus
-    the finite-difference curvature and regularization contributions."""
+    """Gradient of total_energy: the frozen-projection alignment gradient,
+    the closed-form regularization gradient at the same projection, and the
+    curvature gradient by central differences of the pullback integral
+    (2n further projections)."""
     q = np.asarray(q, dtype=float).reshape(-1)
     proj = closest_point(spec, q)
     grad = _alignment_grad(params, spec, proj, q)
@@ -147,11 +147,11 @@ def total_gradient(
         if rule is None:
             rule = params.rule_for(spec)
         grad = grad + params.gamma * curvature_integral_gradient(
-            spec, q, rule, params.curvature_step, params.eps_parallel
+            spec, q, rule, eps_parallel=params.eps_parallel
         )
     if params.lam != 0.0:
-        grad = grad + regularization_gradient(
-            params.field_for(spec), q, params.lam
+        grad = grad + _regularization_gradient_at(
+            params.field_for(spec), q, proj.point, params.lam
         )
     return grad
 
@@ -186,11 +186,11 @@ def embedding_pde_residual(
         if rule is None:
             rule = params.rule_for(spec)
         residual = residual + params.gamma * curvature_integral_gradient(
-            spec, q, rule, params.curvature_step, params.eps_parallel
+            spec, q, rule, eps_parallel=params.eps_parallel
         )
     if params.mu != 0.0:
-        residual = residual + params.mu * activation_gradient(
-            params.field_for(spec), q
+        residual = residual + params.mu * _activation_gradient_at(
+            params.field_for(spec), q, proj.point
         )
     return residual
 

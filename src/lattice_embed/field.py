@@ -1,10 +1,15 @@
 """Smooth activation field over a tubular neighborhood of the manifold.
 
 The field is a distance-based quintic smoothstep: exactly 1 within one tube
-radius of M, decaying C2-smoothly to exactly 0 at twice the radius.  All
-derivatives are taken by central finite differences because the underlying
-distance goes through a closest-point projection that is only piecewise
-smooth.
+radius r of M, decaying C2-smoothly to exactly 0 at twice the radius.  With
+d the distance to M, t = d/r - 1 and S the smoothstep, A = 1 - S(t) on the
+decay band 0 < t < 1.  Inside a tube narrower than the reach of M the
+closest point p is unique, so the distance is differentiable with
+grad d = (q - p)/d, the unit normal n; hence
+
+    grad A = -S'(t)/r n,   grad (lam/2)||grad A||^2 = lam S'(t) S''(t)/r^3 n,
+
+both exactly zero on the plateau and beyond the support, where S' = 0.
 """
 from __future__ import annotations
 
@@ -12,16 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldSpec, distance_to_manifold
+from .geometry import ManifoldSpec, closest_point, distance_to_manifold
 
 Array = np.ndarray
-
-#: decay profile; the lowest-degree polynomial with C2 joints at both ends
-PROFILE = "quintic smoothstep plateau"
-
-# h_act = tube_radius / this; small enough that the nested second-derivative
-# stencil meets the 1e-3 relative contract against the scalar-energy oracle
-DEFAULT_STEP_DIVISOR = 400.0
 
 
 def _smoothstep(t: float) -> float:
@@ -34,17 +32,10 @@ class ActivationField:
 
     manifold: ManifoldSpec
     tube_radius: float
-    fd_step: float | None = None
 
     def __post_init__(self):
         if self.tube_radius <= 0.0:
             raise ValueError("tube_radius must be positive")
-        if self.fd_step is None:
-            object.__setattr__(
-                self, "fd_step", self.tube_radius / DEFAULT_STEP_DIVISOR
-            )
-        if not 0.0 < self.fd_step < self.tube_radius / 10.0:
-            raise ValueError("fd_step must lie in (0, tube_radius / 10)")
 
 
 def activation(field: ActivationField, x) -> float:
@@ -58,39 +49,49 @@ def activation(field: ActivationField, x) -> float:
     return 1.0 - _smoothstep(s - 1.0)
 
 
+def _decay_band(field: ActivationField, q: Array, p: Array):
+    """(S'(t), S''(t), unit normal) at q with closest point p, or None off the
+    open decay band 0 < t < 1, where S' vanishes."""
+    diff = q - p
+    dist = float(np.linalg.norm(diff))
+    t = dist / field.tube_radius - 1.0
+    if not 0.0 < t < 1.0:
+        return None
+    slope = 30.0 * t * t * (t - 1.0) ** 2
+    bend = 60.0 * t * (t - 1.0) * (2.0 * t - 1.0)
+    return slope, bend, diff / dist
+
+
+def _activation_gradient_at(field: ActivationField, q: Array, p: Array) -> Array:
+    band = _decay_band(field, q, p)
+    if band is None:
+        return np.zeros_like(q)
+    slope, _, normal = band
+    return (-slope / field.tube_radius) * normal
+
+
+def _regularization_gradient_at(
+    field: ActivationField, q: Array, p: Array, lam: float
+) -> Array:
+    band = _decay_band(field, q, p)
+    if band is None:
+        return np.zeros_like(q)
+    slope, bend, normal = band
+    return (lam * slope * bend / field.tube_radius**3) * normal
+
+
 def activation_gradient(field: ActivationField, x) -> Array:
-    """Central-difference ambient gradient of the activation."""
+    """Ambient gradient of the activation: -S'(t)/r times the unit normal."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    h = field.fd_step
-    grad = np.zeros_like(x)
-    for k in range(x.shape[0]):
-        offset = np.zeros_like(x)
-        offset[k] = h
-        grad[k] = (
-            activation(field, x + offset) - activation(field, x - offset)
-        ) / (2.0 * h)
-    return grad
+    return _activation_gradient_at(field, x, closest_point(field.manifold, x).point)
 
 
 def regularization_gradient(field: ActivationField, x, lam: float) -> Array:
-    """Gradient of the tube-smoothing energy (lam/2)||grad A||^2.
-
-    Component k is lam * sum_j (dA/dx_j)(d2A/dx_k dx_j), with first
-    derivatives by central differences (fd_step) and second derivatives by
-    nested central differences with outer step 2*fd_step.
-    """
+    """Gradient of the tube-smoothing energy (lam/2)||grad A||^2:
+    lam S'(t) S''(t)/r^3 times the unit normal."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if lam == 0.0:
         return np.zeros_like(x)
-    n = x.shape[0]
-    outer = 2.0 * field.fd_step
-    grad1 = activation_gradient(field, x)
-    out = np.zeros(n)
-    for k in range(n):
-        offset = np.zeros(n)
-        offset[k] = outer
-        g_plus = activation_gradient(field, x + offset)
-        g_minus = activation_gradient(field, x - offset)
-        hess_row = (g_plus - g_minus) / (2.0 * outer)
-        out[k] = lam * float(grad1 @ hess_row)
-    return out
+    return _regularization_gradient_at(
+        field, x, closest_point(field.manifold, x).point, lam
+    )

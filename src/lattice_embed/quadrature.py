@@ -1,6 +1,12 @@
 """Quadrature of the double sectional-curvature integral over the unit
 tangent sphere, and its ambient-space gradient through the closest-point
-pullback."""
+pullback.
+
+For surfaces (d = 2) the integral is closed-form, (2 pi)^2 times the Gaussian
+curvature, since every non-parallel pair of tangent directions spans the same
+plane; above d = 2 it is a quadrature over node pairs.  The ambient gradient
+is a central difference of the integral at re-projected points.
+"""
 from __future__ import annotations
 
 import math
@@ -8,13 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllPairsDegenerateError, BadResolutionError
+from .errors import (
+    AllPairsDegenerateError,
+    BadResolutionError,
+    DegeneratePlaneError,
+)
 from .geometry import (
     ManifoldSpec,
     closest_point,
     curvature_tensor,
-    gaussian_curvature,
     metric,
+    sectional_curvature,
 )
 
 Array = np.ndarray
@@ -98,10 +108,12 @@ def curvature_double_integral(
 ) -> float:
     """Total sectional curvature over tangent-direction pairs at chart(u).
 
-    Quadrature nodes are mapped through a metric-orthonormal basis of the
-    tangent space, near-parallel pairs (metric Gram determinant <= eps) are
-    rejected, and the retained weight mass is rescaled so the total pair
-    weight equals the squared sphere measure.
+    Near-parallel node pairs (Gram determinant <= eps) are rejected, and the
+    retained weight mass is rescaled so the total pair weight equals the
+    squared sphere measure.  For surfaces every retained pair spans the whole
+    tangent plane, so the integral is sphere_measure(2)**2 times the Gaussian
+    curvature.  Above d = 2 the nodes are mapped through a metric-orthonormal
+    basis of the tangent space and each pair's curvature is summed.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if rule.intrinsic_dim != spec.intrinsic_dim:
@@ -109,12 +121,14 @@ def curvature_double_integral(
             f"rule dimension {rule.intrinsic_dim} != manifold dimension "
             f"{spec.intrinsic_dim}"
         )
+    if method not in ("auto", "fd", "analytic"):
+        raise ValueError(f"unknown curvature method {method!r}")
     g = metric(spec, u)
-    # Mapped node i is B n_i with B^T g B = I, so metric inner products of
-    # mapped pairs equal Euclidean inner products of the raw nodes.
+    # B^T g B = I: the columns of B are a metric-orthonormal tangent basis,
+    # and metric inner products of mapped nodes B n_i equal Euclidean inner
+    # products of the raw nodes.
     chol = np.linalg.cholesky(g)
     basis = np.linalg.inv(chol).T
-    mapped = rule.nodes @ basis.T
 
     cos = rule.nodes @ rule.nodes.T
     gram = 1.0 - cos * cos
@@ -123,33 +137,32 @@ def curvature_double_integral(
         raise AllPairsDegenerateError(
             "every node pair rejected as numerically parallel"
         )
-    ii, jj = np.nonzero(mask)
-
-    use_analytic = method == "analytic" or (
-        method == "auto" and spec.analytic_curvature_available
-    )
-    if method not in ("auto", "fd", "analytic"):
-        raise ValueError(f"unknown curvature method {method!r}")
-    if use_analytic:
-        kvals = np.full(ii.shape[0], gaussian_curvature(spec, u))
-    else:
-        g0, _, riemann = curvature_tensor(spec, u, step=step)
-        v = mapped[ii]
-        w = mapped[jj]
-        swap = _lexicographic_less(w, v)
-        a = np.where(swap[:, None], w, v)
-        b = np.where(swap[:, None], v, w)
-        cab = np.einsum("pi,ij,pj->p", a, g0, b)
-        b_perp = b - cab[:, None] * a
-        nb = np.sqrt(np.einsum("pi,ij,pj->p", b_perp, g0, b_perp))
-        e2 = b_perp / nb[:, None]
-        numer = np.einsum("lm,lijk,pi,pj,pk,pm->p", g0, riemann, a, e2, e2, a)
-        denom = (
-            np.einsum("pi,ij,pj->p", a, g0, a)
-            * np.einsum("pi,ij,pj->p", e2, g0, e2)
-            - np.einsum("pi,ij,pj->p", a, g0, e2) ** 2
+    if spec.intrinsic_dim == 2:
+        return sphere_measure(2) ** 2 * sectional_curvature(
+            spec, u, basis[:, 0], basis[:, 1], method=method, step=step
         )
-        kvals = numer / denom
+    if method == "analytic":
+        raise DegeneratePlaneError("no analytic curvature above dimension 2")
+
+    ii, jj = np.nonzero(mask)
+    mapped = rule.nodes @ basis.T
+    g0, _, riemann = curvature_tensor(spec, u, step=step)
+    v = mapped[ii]
+    w = mapped[jj]
+    swap = _lexicographic_less(w, v)
+    a = np.where(swap[:, None], w, v)
+    b = np.where(swap[:, None], v, w)
+    cab = np.einsum("pi,ij,pj->p", a, g0, b)
+    b_perp = b - cab[:, None] * a
+    nb = np.sqrt(np.einsum("pi,ij,pj->p", b_perp, g0, b_perp))
+    e2 = b_perp / nb[:, None]
+    numer = np.einsum("lm,lijk,pi,pj,pk,pm->p", g0, riemann, a, e2, e2, a)
+    denom = (
+        np.einsum("pi,ij,pj->p", a, g0, a)
+        * np.einsum("pi,ij,pj->p", e2, g0, e2)
+        - np.einsum("pi,ij,pj->p", a, g0, e2) ** 2
+    )
+    kvals = numer / denom
 
     total = sphere_measure(spec.intrinsic_dim) ** 2
     weights = rule.weights

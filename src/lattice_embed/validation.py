@@ -20,22 +20,3 @@ def check_points_array(X, *, expected_dim: int | None = None, name: str = "X") -
             f"{name} has {X.shape[1]} features, expected {expected_dim}"
         )
     return X
-
-
-def check_vector(x, *, expected_dim: int | None = None, name: str = "x") -> Array:
-    """Coerce to a finite 1-d float64 vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    if expected_dim is not None and x.shape[0] != expected_dim:
-        raise ValueError(f"{name} has length {x.shape[0]}, expected {expected_dim}")
-    return x
-
-
-def check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value

@@ -44,9 +44,14 @@ def test_missing_required_kind():
 
 
 def test_unknown_key_named():
-    with pytest.raises(UnknownKeyError) as err:
-        parse_config("manifold.kind = plane\nenergy.alphaa = 1\n")
-    assert "alphaa" in str(err.value) and "energy" in str(err.value)
+    # fd_step is a removed key: configs that still set it must fail by name
+    for line, key, section in (
+        ("energy.alphaa = 1", "alphaa", "energy"),
+        ("field.fd_step = 1e-4", "fd_step", "field"),
+    ):
+        with pytest.raises(UnknownKeyError) as err:
+            parse_config(f"manifold.kind = plane\n{line}\n")
+        assert key in str(err.value) and section in str(err.value)
 
 
 def test_unknown_section_named():

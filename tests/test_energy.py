@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from lattice_embed import geometry
 from lattice_embed.energy import (
     EnergyParams,
     alignment,
@@ -174,6 +176,31 @@ def test_total_gradient_fd_in_decay_band():
                 ) / (2 * h)
             tol = max(1e-4, 1e-3 * float(np.linalg.norm(fd)))
             assert np.max(np.abs(grad - fd)) <= tol
+
+
+def test_projection_counts(monkeypatch):
+    # the field terms reuse the energy's own projection; only the curvature
+    # gradient's 2n central differences re-project
+    original = geometry.closest_point
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lattice_embed":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    params = EnergyParams(gamma=0.02, lam=0.1, tube_radius=0.1)
+    rule = params.rule_for(TORUS)
+    q = np.array([2.65, 0.0, 0.05])  # in the decay band: every term is live
+    assert total_energy(params, TORUS, q, rule=rule) > 0.0
+    assert len(calls) == 1
+    calls.clear()
+    assert np.linalg.norm(total_gradient(params, TORUS, q, rule=rule)) > 0.0
+    assert len(calls) == 1 + 2 * 3
 
 
 # --- stationarity residuals -------------------------------------------------

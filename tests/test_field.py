@@ -7,9 +7,20 @@ from lattice_embed.field import (
     activation_gradient,
     regularization_gradient,
 )
-from lattice_embed.geometry import ManifoldSpec
+from lattice_embed.geometry import ManifoldSpec, tangent_frame
 
 PLANE = ManifoldSpec.plane()
+GRAPH = ManifoldSpec.parametric(
+    bounds=[(-1.0, 1.0), (-1.0, 1.0)],
+    expressions=["u1", "u2", "0.3*sin(2*u1)*cos(u2) + 0.1*u1^2"],
+)
+# (manifold, chart parameter of the foot point) for the finite-difference oracles
+FOOT_POINTS = {
+    "plane": (PLANE, [0.4, -0.1]),
+    "sphere": (ManifoldSpec.sphere(1.0), [1.1, 0.7]),
+    "torus": (ManifoldSpec.torus(2.0, 0.5), [0.8, 2.0]),
+    "graph": (GRAPH, [0.3, -0.4]),
+}
 
 
 @pytest.fixture
@@ -18,8 +29,6 @@ def field():
 
 
 def test_step_validation():
-    with pytest.raises(ValueError):
-        ActivationField(manifold=PLANE, tube_radius=0.1, fd_step=0.02)
     with pytest.raises(ValueError):
         ActivationField(manifold=PLANE, tube_radius=-1.0)
 
@@ -84,7 +93,7 @@ def test_gradient_midband_magnitude_and_direction(field):
 def test_c2_joints_have_continuous_second_difference(field):
     # one-sided difference quotients of grad A agree across both joints to
     # O(h * |psi'''|/delta^3); psi''' jumps by 60 at t in {0, 1}
-    h = field.fd_step
+    h = field.tube_radius / 400.0
     bound = 5.0 * h * 60.0 / field.tube_radius**3
     for joint in (0.1, 0.2):
         x = np.array([0.0, 0.0, joint])
@@ -106,26 +115,53 @@ def test_regularization_zero_cases(field):
     assert np.array_equal(regularization_gradient(field, x, 0.0), np.zeros(3))
 
 
-def test_regularization_matches_energy_fd(field):
+def _band_points(name, scaled):
+    """Ambient points at scaled tube radii along the normal of a foot point."""
+    spec, u = FOOT_POINTS[name]
+    field = ActivationField(manifold=spec, tube_radius=0.1)
+    frame = tangent_frame(spec, u)
+    normal = frame.normal_basis[0]
+    return field, [frame.point + s * field.tube_radius * normal for s in scaled]
+
+
+def _central_difference(fn, x, h):
+    fd = np.zeros(x.shape[0])
+    for k in range(x.shape[0]):
+        offset = np.zeros(x.shape[0])
+        offset[k] = h
+        fd[k] = (fn(x + offset) - fn(x - offset)) / (2 * h)
+    return fd
+
+
+def _assert_matches_fd(value, fd, where):
+    mask = np.abs(fd) > 1e-6
+    assert mask.any(), where
+    rel = np.max(np.abs(value[mask] - fd[mask]) / np.abs(fd[mask]))
+    assert rel <= 1e-3, (where, rel)
+
+
+@pytest.mark.parametrize("name", sorted(FOOT_POINTS))
+def test_activation_gradient_matches_value_fd(name):
+    field, points = _band_points(name, (1.06, 1.3, 1.6, 1.94))
+    h = field.tube_radius / 400.0
+    for x in points:
+        fd = _central_difference(lambda y: activation(field, y), x, h)
+        _assert_matches_fd(activation_gradient(field, x), fd, x)
+
+
+@pytest.mark.parametrize("name", sorted(FOOT_POINTS))
+def test_regularization_matches_energy_fd(name):
     lam = 1.3
+    field, points = _band_points(name, (1.15, 1.35, 1.6, 1.85))
 
     def energy(x):
         grad = activation_gradient(field, x)
         return 0.5 * lam * float(grad @ grad)
 
     h = field.tube_radius / 400.0
-    for s in (1.15, 1.35, 1.6, 1.85):
-        x = np.array([0.4, -0.1, s * field.tube_radius])
-        value = regularization_gradient(field, x, lam)
-        fd = np.zeros(3)
-        for k in range(3):
-            offset = np.zeros(3)
-            offset[k] = h
-            fd[k] = (energy(x + offset) - energy(x - offset)) / (2 * h)
-        mask = np.abs(fd) > 1e-6
-        assert mask.any()
-        rel = np.max(np.abs(value[mask] - fd[mask]) / np.abs(fd[mask]))
-        assert rel <= 1e-3, (s, rel)
+    for x in points:
+        fd = _central_difference(energy, x, h)
+        _assert_matches_fd(regularization_gradient(field, x, lam), fd, x)
 
 
 def test_field_on_sphere_tube():

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lattice_embed.errors import AllPairsDegenerateError, BadResolutionError
+from lattice_embed.errors import (
+    AllPairsDegenerateError,
+    BadResolutionError,
+    DegeneratePlaneError,
+)
 from lattice_embed.geometry import ManifoldSpec
 from lattice_embed.quadrature import (
     build_quadrature,
@@ -17,6 +21,10 @@ TWO_PI_SQ = (2.0 * math.pi) ** 2
 SPHERE = ManifoldSpec.sphere(1.0)
 PLANE = ManifoldSpec.plane()
 TORUS = ManifoldSpec.torus(2.0, 0.5)
+GRAPH = ManifoldSpec.parametric(
+    bounds=[(-1.0, 1.0), (-1.0, 1.0)],
+    expressions=["u1", "u2", "0.3*sin(2*u1)*cos(u2)"],
+)
 
 
 def test_circle_rule_uniform_angles():
@@ -74,6 +82,40 @@ def test_integral_fd_pipeline_close_to_analytic():
     fd_torus = curvature_double_integral(TORUS, [1.0, 2.0], rule, method="fd")
     analytic = curvature_double_integral(TORUS, [1.0, 2.0], rule)
     assert abs(fd_torus - analytic) <= 1e-3 * max(abs(analytic), 1.0)
+
+
+def test_integral_graph_chart_is_gaussian_curvature():
+    # K of the graph z = f(x, y) is (f_xx f_yy - f_xy^2) / (1 + f_x^2 + f_y^2)^2
+    rule = build_quadrature(2, 64)
+    for x in np.linspace(-0.8, 0.8, 5):
+        for y in np.linspace(-0.8, 0.8, 5):
+            fx = 0.6 * math.cos(2 * x) * math.cos(y)
+            fy = -0.3 * math.sin(2 * x) * math.sin(y)
+            fxx = -1.2 * math.sin(2 * x) * math.cos(y)
+            fyy = -0.3 * math.sin(2 * x) * math.cos(y)
+            fxy = -0.6 * math.cos(2 * x) * math.sin(y)
+            expected = (fxx * fyy - fxy**2) / (1 + fx**2 + fy**2) ** 2
+            value = curvature_double_integral(GRAPH, [x, y], rule) / TWO_PI_SQ
+            assert abs(value - expected) <= 1e-5, (x, y, value, expected)
+
+
+def test_integral_unit_three_sphere():
+    # every sectional curvature of the unit 3-sphere is 1, so C = |S^2|^2
+    spec = ManifoldSpec.parametric(
+        bounds=[(0.3, 2.8), (0.3, 2.8), (0.0, 6.0)],
+        expressions=[
+            "cos(u1)",
+            "sin(u1)*cos(u2)",
+            "sin(u1)*sin(u2)*cos(u3)",
+            "sin(u1)*sin(u2)*sin(u3)",
+        ],
+    )
+    rule = build_quadrature(3, 64)
+    value = curvature_double_integral(spec, [1.1, 1.3, 2.0], rule)
+    expected = sphere_measure(3) ** 2
+    assert abs(value - expected) <= 1e-3 * expected
+    with pytest.raises(DegeneratePlaneError):
+        curvature_double_integral(spec, [1.1, 1.3, 2.0], rule, method="analytic")
 
 
 def test_integral_convergence_monotone():
