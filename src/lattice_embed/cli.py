@@ -17,8 +17,8 @@ from .config import RunConfig, parse_config
 from .energy import total_energy, total_gradient
 from .errors import ConfigError, LatticeEmbedError
 from .geometry import sectional_curvature
-from .quadrature import curvature_double_integral
-from .solver import embed_lattice, worker_count
+from .quadrature import curvature_double_integral, sphere_measure
+from .solver import embed_lattice
 from .validation import check_points_array
 
 
@@ -48,16 +48,12 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def run_embed(config: RunConfig, *, workers: int | None = None) -> int:
+def run_embed(config: RunConfig) -> int:
     spec = config.manifold()
     params = config.energy_params()
     lattice = config.lattice()
     solver_config = config.solver()
-    if workers is None:
-        workers = worker_count()
-    emap, report = embed_lattice(
-        params, spec, lattice, solver_config, workers=workers
-    )
+    emap, report = embed_lattice(params, spec, lattice, solver_config)
     digest = config.digest()
     out = _out_dir(config)
     formats = config.get("output", "formats")
@@ -140,9 +136,13 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     points = np.stack([g.ravel() for g in grids], axis=-1)
     rows = []
     for u in points:
-        basis = np.eye(spec.intrinsic_dim)
-        k = sectional_curvature(spec, u, basis[0], basis[1], eps_parallel=eps)
         integral = curvature_double_integral(spec, u, rule, eps)
+        if spec.intrinsic_dim == 2:
+            # every tangent pair spans the one plane: C = (2 pi)^2 K
+            k = integral / sphere_measure(2) ** 2
+        else:
+            basis = np.eye(spec.intrinsic_dim)
+            k = sectional_curvature(spec, u, basis[0], basis[1], eps_parallel=eps)
         rows.append(list(u) + [float(k), float(integral)])
     columns = [f"u{k + 1}" for k in range(spec.intrinsic_dim)] + ["K", "C"]
     out = _out_dir(config)

@@ -54,7 +54,8 @@ class LatticeEmbedder(BaseEstimator):
 
     After ``fit(X)`` the training embedding is available as ``embedding_``
     and the solve diagnostics as ``report_``; ``transform`` solves any batch
-    of points with the same settings.  Rows farther than twice the tube
+    of points with the same settings.  Rows are solved one after another,
+    each independently of the other rows.  Rows farther than twice the tube
     radius from the manifold are outside the energy's support and pass
     through unchanged (flagged in the report).
     """
@@ -74,7 +75,6 @@ class LatticeEmbedder(BaseEstimator):
         max_iters: int = 500,
         grad_tol: float = 1e-6,
         seed: int = 0,
-        n_jobs: int | None = None,
     ):
         self.manifold = manifold
         self.manifold_params = manifold_params
@@ -88,7 +88,6 @@ class LatticeEmbedder(BaseEstimator):
         self.max_iters = max_iters
         self.grad_tol = grad_tol
         self.seed = seed
-        self.n_jobs = n_jobs
 
     def _build(self) -> tuple[ManifoldSpec, EnergyParams, SolverConfig]:
         if isinstance(self.manifold, ManifoldSpec):
@@ -115,9 +114,7 @@ class LatticeEmbedder(BaseEstimator):
     def fit(self, X, y=None) -> "LatticeEmbedder":
         spec, params, config = self._build()
         X = check_points_array(X, expected_dim=spec.ambient_dim)
-        emap, report = embed_points(
-            params, spec, X, config, workers=self.n_jobs
-        )
+        emap, report = embed_points(params, spec, X, config)
         self.n_features_in_ = X.shape[1]
         self.embedding_ = emap.images()
         self.embedding_map_ = emap
@@ -129,9 +126,7 @@ class LatticeEmbedder(BaseEstimator):
             raise RuntimeError("LatticeEmbedder must be fitted before transform")
         spec, params, config = self._build()
         X = check_points_array(X, expected_dim=self.n_features_in_)
-        emap, report = embed_points(
-            params, spec, X, config, workers=self.n_jobs
-        )
+        emap, report = embed_points(params, spec, X, config)
         self.last_report_ = report
         return emap.images()
 

@@ -278,14 +278,10 @@ def _plane_chart(u):
     return out
 
 
-def _jacobian(spec: ManifoldSpec, u: Array, step: float | None = None) -> Array:
+def _jacobian(spec: ManifoldSpec, u: Array) -> Array:
     if spec.jacobian_fn is not None:
         return np.asarray(spec.jacobian_fn(u), dtype=float)
-    steps = (
-        np.full(spec.intrinsic_dim, step)
-        if step is not None
-        else _FD_JACOBIAN_REL_STEP * spec.extents
-    )
+    steps = _FD_JACOBIAN_REL_STEP * spec.extents
     cols = []
     for k in range(spec.intrinsic_dim):
         offset = np.zeros(spec.intrinsic_dim)
@@ -556,12 +552,6 @@ def metric(spec: ManifoldSpec, u) -> Array:
     return jac.T @ jac
 
 
-def _geo_steps(spec: ManifoldSpec, step: float | None) -> Array:
-    if step is not None:
-        return np.full(spec.intrinsic_dim, float(step))
-    return _GEO_REL_STEP * spec.extents
-
-
 def _require_stencil_interior(spec: ManifoldSpec, u: Array, widths: Array):
     for k, per in enumerate(spec.periodic):
         if per:
@@ -574,13 +564,12 @@ def _require_stencil_interior(spec: ManifoldSpec, u: Array, widths: Array):
             )
 
 
-def curvature_tensor(
-    spec: ManifoldSpec, u, *, step: float | None = None
-) -> tuple[Array, Array, Array]:
+def curvature_tensor(spec: ManifoldSpec, u) -> tuple[Array, Array, Array]:
     """Metric, Christoffel symbols, and coordinate Riemann tensor at u.
 
     Everything is assembled from central differences of the metric with
-    per-axis step h:  Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    per-axis step h, a fixed share of each axis extent:
+    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     and R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
                   + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
     with the Christoffel derivatives expanded through first and second metric
@@ -588,7 +577,7 @@ def curvature_tensor(
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     d = spec.intrinsic_dim
-    h = _geo_steps(spec, step)
+    h = _GEO_REL_STEP * spec.extents
     _require_stencil_interior(spec, u, h * (1.0 + 1e-9))
 
     def g_at(offset):
@@ -642,9 +631,7 @@ def curvature_tensor(
     return g0, gamma, riemann
 
 
-def riemann_apply(
-    spec: ManifoldSpec, u, v, w, z=None, *, step: float | None = None
-) -> Array:
+def riemann_apply(spec: ManifoldSpec, u, v, w, z=None) -> Array:
     """The vector R(v, w)z in chart coordinates; z defaults to w.
 
     The assembled tensor is antisymmetric in (v, w) by construction, so
@@ -653,7 +640,7 @@ def riemann_apply(
     v = np.asarray(v, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
     z = w if z is None else np.asarray(z, dtype=float).reshape(-1)
-    _, _, riemann = curvature_tensor(spec, u, step=step)
+    _, _, riemann = curvature_tensor(spec, u)
     return np.einsum("lijk,i,j,k->l", riemann, v, w, z)
 
 
@@ -707,7 +694,6 @@ def sectional_curvature(
     *,
     eps_parallel: float = 1e-8,
     method: str = "auto",
-    step: float | None = None,
 ) -> float:
     """Sectional curvature K(v, w) = <R(v,w)w, v> / (<v,v><w,w> - <v,w>^2)
     in the pullback metric, for chart-coordinate tangent vectors v, w.
@@ -726,7 +712,7 @@ def sectional_curvature(
         method == "auto" and spec.analytic_curvature_available
     ):
         return gaussian_curvature(spec, u)
-    g0, _, riemann = curvature_tensor(spec, u, step=step)
+    g0, _, riemann = curvature_tensor(spec, u)
     numerator = float(np.einsum("lm,lijk,i,j,k,m->", g0, riemann, a, b, b, a))
     denominator = float((a @ g0 @ a) * (b @ g0 @ b) - (a @ g0 @ b) ** 2)
     return numerator / denominator

@@ -104,7 +104,6 @@ def curvature_double_integral(
     eps_parallel: float = 1e-8,
     *,
     method: str = "auto",
-    step: float | None = None,
 ) -> float:
     """Total sectional curvature over tangent-direction pairs at chart(u).
 
@@ -139,14 +138,14 @@ def curvature_double_integral(
         )
     if spec.intrinsic_dim == 2:
         return sphere_measure(2) ** 2 * sectional_curvature(
-            spec, u, basis[:, 0], basis[:, 1], method=method, step=step
+            spec, u, basis[:, 0], basis[:, 1], method=method
         )
     if method == "analytic":
         raise DegeneratePlaneError("no analytic curvature above dimension 2")
 
     ii, jj = np.nonzero(mask)
     mapped = rule.nodes @ basis.T
-    g0, _, riemann = curvature_tensor(spec, u, step=step)
+    g0, _, riemann = curvature_tensor(spec, u)
     v = mapped[ii]
     w = mapped[jj]
     swap = _lexicographic_less(w, v)

@@ -3,14 +3,12 @@
 Each lattice point is an independent minimization of the three-term energy,
 seeded at the point itself; Armijo backtracking guarantees every accepted
 step strictly decreases the energy.  Per-point quadrature seeds are derived
-from the batch seed and the point index, so a run is reproducible for any
-worker count.
+from the batch seed and the point index, so each point's result depends only
+on that point, its index and the settings, never on the rest of the batch.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,23 +18,11 @@ from .errors import LatticeEmbedError
 from .geometry import ManifoldSpec, closest_point
 from .lattice import EmbeddingEntry, EmbeddingMap, LatticeSpec, generate_lattice
 from .quadrature import QuadratureRule
+from .validation import check_points_array
 
 Array = np.ndarray
 
-THREADS_ENV_VAR = "LATTICE_EMBED_THREADS"
 _MIN_STEP = 1e-16
-
-
-def worker_count() -> int:
-    """Worker cap from the environment, defaulting to hardware parallelism."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value >= 1:
-        return value
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -135,8 +121,7 @@ def _point_rule(params: EnergyParams, spec: ManifoldSpec, batch_seed: int, index
     return params.rule_for(spec, seed=batch_seed ^ index)
 
 
-def _solve_one(args):
-    params, spec, q, config, index = args
+def _solve_one(params, spec, q, config, index):
     support = 2.0 * params.tube_radius
     try:
         proj = closest_point(spec, q)
@@ -183,29 +168,19 @@ def embed_points(
     spec: ManifoldSpec,
     points,
     config: SolverConfig,
-    *,
-    workers: int | None = None,
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Run the per-point descent over an arbitrary batch of seed points.
 
-    Points farther than twice the tube radius from M are outside the
-    activation support and are marked skipped.  Per-point errors never abort
-    the batch; output order follows input order for any worker count.
+    The whole batch is validated before any point is solved.  Points farther
+    than twice the tube radius from M are outside the activation support and
+    are marked skipped.  Per-point solver errors never abort the batch;
+    output order follows input order.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-d array of ambient coordinates")
-    if workers is None:
-        workers = worker_count()
+    points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     start = time.perf_counter()
-    jobs = [
-        (params, spec, points[i].copy(), config, i) for i in range(points.shape[0])
+    results = [
+        _solve_one(params, spec, q, config, i) for i, q in enumerate(points)
     ]
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_solve_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_one, jobs))
     entries = [entry for entry, _, _ in results]
     report = SolveReport()
     report.traces = [trace for _, trace, _ in results if trace is not None]
@@ -234,8 +209,6 @@ def embed_lattice(
     spec: ManifoldSpec,
     lattice: LatticeSpec,
     config: SolverConfig,
-    *,
-    workers: int | None = None,
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Embed every lattice point, seeding zeta(q) = q (Dirichlet-style
     anchoring at the lattice)."""
@@ -245,7 +218,7 @@ def embed_lattice(
             f"lattice dimension {lattice.dim} != ambient dimension "
             f"{spec.ambient_dim}"
         )
-    return embed_points(params, spec, points, config, workers=workers)
+    return embed_points(params, spec, points, config)
 
 
 def multi_start_agreement(

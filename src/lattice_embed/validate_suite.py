@@ -33,7 +33,13 @@ from .lattice import (
     jacobian_of_extension,
     residual_jacobian_derivative,
 )
-from .solver import SolverConfig, descend_point, embed_lattice, verify_stationarity
+from .solver import (
+    SolverConfig,
+    _point_rule,
+    descend_point,
+    embed_lattice,
+    verify_stationarity,
+)
 from .quadrature import build_quadrature, curvature_double_integral
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2
@@ -234,7 +240,7 @@ def check_plane_lattice_stationarity() -> str:
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [-0.1, 0.1]]), spacing=0.1
     )
     assert lattice.axis_counts == (5, 5, 3)
-    emap, report = embed_lattice(params, spec, lattice, SolverConfig(), workers=1)
+    emap, report = embed_lattice(params, spec, lattice, SolverConfig())
     stat = verify_stationarity(params, spec, emap, tol=1e-5)
     fraction = stat.passed / report.attempted if report.attempted else 0.0
     assert report.attempted == 75, report.attempted
@@ -254,7 +260,7 @@ def check_injectivity_inversion() -> str:
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [0.05, 0.05]]), spacing=0.1
     )
-    emap, report = embed_lattice(params, spec, lattice, SolverConfig(), workers=1)
+    emap, report = embed_lattice(params, spec, lattice, SolverConfig())
     assert report.fraction_converged == 1.0
     tol = 1e-9 * lattice.spacing
     result = check_injective_invert(emap, tol)
@@ -401,13 +407,21 @@ def check_determinism() -> str:
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [-0.1, 0.1]]), spacing=0.1
     )
-    serial, _ = embed_lattice(params, spec, lattice, SolverConfig(seed=7), workers=1)
-    parallel, _ = embed_lattice(params, spec, lattice, SolverConfig(seed=7), workers=4)
-    assert np.array_equal(serial.images(), parallel.images())
-    assert [e.iterations for e in serial.entries] == [
-        e.iterations for e in parallel.entries
-    ]
-    return "byte-identical files across runs; serial == 4-worker results"
+    config = SolverConfig(seed=7)
+    emap, _ = embed_lattice(params, spec, lattice, config)
+    # each entry is its lattice point solved alone: no state crosses points
+    points = generate_lattice(lattice)
+    assert len(emap) == len(points) == 75, len(emap)
+    for index, (q, entry) in enumerate(zip(points, emap.entries)):
+        assert not entry.skipped, index
+        rule = _point_rule(params, spec, config.seed, index)
+        image, trace = descend_point(params, spec, q, config, rule=rule)
+        assert image.tobytes() == entry.image.tobytes(), index
+        assert trace.iterations == entry.iterations, index
+    return (
+        "byte-identical files across runs; each of the 75 lattice entries "
+        "equals its point solved alone"
+    )
 
 
 # --- criterion 12 -----------------------------------------------------------

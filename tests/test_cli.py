@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lattice_embed import cli
+from lattice_embed import cli, geometry
 
 PLANE_SLAB = """
 manifold.kind = plane
@@ -59,6 +59,46 @@ def test_curvature_grid_sphere_constant(tmp_path):
         assert abs(fields[2] - 0.25) <= 1e-3
         assert abs(fields[3] - 0.25 * (2 * math.pi) ** 2) <= 0.01 * (2 * math.pi) ** 2
     assert len(lines) == 2 + 64
+
+
+GRAPH_CHART = """
+manifold.kind = parametric
+manifold.chart = u1; u2; 0.3*sin(2*u1)*cos(u2)
+manifold.bounds = -1:1, -1:1
+"""
+
+
+def graph_curvature(x, y):
+    # K of the graph z = f(x, y) is (f_xx f_yy - f_xy^2) / (1 + f_x^2 + f_y^2)^2
+    fx = 0.6 * math.cos(2 * x) * math.cos(y)
+    fy = -0.3 * math.sin(2 * x) * math.sin(y)
+    fxx = -1.2 * math.sin(2 * x) * math.cos(y)
+    fyy = -0.3 * math.sin(2 * x) * math.cos(y)
+    fxy = -0.6 * math.cos(2 * x) * math.sin(y)
+    return (fxx * fyy - fxy**2) / (1 + fx**2 + fy**2) ** 2
+
+
+def test_curvature_grid_graph_chart_closed_form(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, GRAPH_CHART + f"output.directory = {out}\n")
+    assert cli.main(["curvature", cfg, "--grid", "4"]) == 0
+    lines = (out / "curvature.csv").read_text().splitlines()
+    assert lines[1] == "u1,u2,K,C"
+    assert len(lines) == 2 + 16
+    for line in lines[2:]:
+        x, y, k, c = (float(v) for v in line.split(","))
+        expected = graph_curvature(x, y)
+        assert abs(k - expected) <= 1e-5, (x, y, k, expected)
+        assert abs(c - (2 * math.pi) ** 2 * expected) <= 1e-5 * (2 * math.pi) ** 2
+
+
+def test_curvature_one_riemann_tensor_per_grid_point(tmp_path, count_calls):
+    # K and C share one finite-difference Riemann tensor per grid point
+    calls = count_calls(geometry.curvature_tensor)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, GRAPH_CHART + f"output.directory = {out}\n")
+    assert cli.main(["curvature", cfg, "--grid", "4"]) == 0
+    assert len(calls) == 16
 
 
 def test_energy_probe_command(tmp_path):
@@ -123,19 +163,3 @@ def test_skipped_lattice_reports_zero_attempted(tmp_path, capsys):
     report = (out / "report.jsonl").read_text().splitlines()
     assert '"attempted": 0' in report[0]
     assert '"skipped": 25' in report[0]
-
-
-def test_threads_env_respected(tmp_path, monkeypatch):
-    out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
-    base = PLANE_SLAB
-    cfg1 = write_config(tmp_path, base + f"output.directory = {out1}\n", "a.cfg")
-    cfg2 = write_config(tmp_path, base + f"output.directory = {out2}\n", "b.cfg")
-    monkeypatch.setenv("LATTICE_EMBED_THREADS", "1")
-    assert cli.main(["embed", cfg1]) == 0
-    monkeypatch.setenv("LATTICE_EMBED_THREADS", "4")
-    assert cli.main(["embed", cfg2]) == 0
-    # identical except the digest line (different output directory)
-    a = (out1 / "points.csv").read_text().splitlines()[1:]
-    b = (out2 / "points.csv").read_text().splitlines()[1:]
-    assert a == b

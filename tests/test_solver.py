@@ -3,14 +3,13 @@ import pytest
 
 from lattice_embed.energy import EnergyParams
 from lattice_embed.geometry import ManifoldSpec, closest_point
-from lattice_embed.lattice import EmbeddingMap, LatticeSpec
+from lattice_embed.lattice import EmbeddingMap, LatticeSpec, generate_lattice
 from lattice_embed.solver import (
     SolverConfig,
     descend_point,
     embed_lattice,
     embed_points,
     verify_stationarity,
-    worker_count,
 )
 
 PLANE = ManifoldSpec.plane()
@@ -73,9 +72,7 @@ def test_embed_lattice_plane_slab():
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [-0.1, 0.1]]), spacing=0.1
     )
-    emap, report = embed_lattice(
-        PROJECTION_PARAMS, PLANE, lattice, SolverConfig(), workers=1
-    )
+    emap, report = embed_lattice(PROJECTION_PARAMS, PLANE, lattice, SolverConfig())
     assert report.attempted == 75 and report.skipped == 0
     assert report.fraction_converged == 1.0
     images = emap.images()
@@ -86,9 +83,7 @@ def test_embed_lattice_far_points_skipped():
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [0.5, 0.5]]), spacing=0.1
     )
-    emap, report = embed_lattice(
-        PROJECTION_PARAMS, PLANE, lattice, SolverConfig(), workers=1
-    )
+    emap, report = embed_lattice(PROJECTION_PARAMS, PLANE, lattice, SolverConfig())
     assert report.attempted == 0
     assert report.skipped == 25
     for entry in emap.entries:
@@ -96,20 +91,30 @@ def test_embed_lattice_far_points_skipped():
         assert np.array_equal(entry.image, entry.point)
 
 
-def test_embed_deterministic_across_workers():
+def test_embed_entries_equal_points_solved_alone():
+    # no state crosses points: each entry is its point descended on its own
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [-0.1, 0.1]]), spacing=0.1
     )
-    serial, _ = embed_lattice(
-        PROJECTION_PARAMS, PLANE, lattice, SolverConfig(seed=3), workers=1
-    )
-    threaded, _ = embed_lattice(
-        PROJECTION_PARAMS, PLANE, lattice, SolverConfig(seed=3), workers=4
-    )
-    assert np.array_equal(serial.images(), threaded.images())
-    assert [e.residual_norm for e in serial.entries] == [
-        e.residual_norm for e in threaded.entries
-    ]
+    config = SolverConfig(seed=3)
+    emap, _ = embed_lattice(PROJECTION_PARAMS, PLANE, lattice, config)
+    points = generate_lattice(lattice)
+    assert len(emap) == len(points) == 75
+    for q, entry in zip(points, emap.entries):
+        image, trace = descend_point(PROJECTION_PARAMS, PLANE, q, config)
+        assert image.tobytes() == entry.image.tobytes()
+        assert trace.iterations == entry.iterations
+        assert trace.final_residual_norm == entry.residual_norm
+
+
+def test_embed_points_rejects_bad_rows_before_solving(count_calls):
+    solved = count_calls(descend_point)
+    points = np.array([[0.0, 0.0, 0.05], [0.1, 0.0, 0.05], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="points row 2 contains non-finite"):
+        embed_points(PROJECTION_PARAMS, PLANE, points, SolverConfig())
+    with pytest.raises(ValueError, match="points has 2 features, expected 3"):
+        embed_points(PROJECTION_PARAMS, PLANE, points[:2, :2], SolverConfig())
+    assert solved == []
 
 
 def test_embed_aggregates_per_point_errors():
@@ -117,7 +122,7 @@ def test_embed_aggregates_per_point_errors():
     # the sphere pole where the chart is rank-deficient
     params = EnergyParams(alpha=1.0, beta=2.0, tube_radius=2.0)
     points = np.array([[0.0, 0.0, 1.5], [0.0, 1.2, 0.0]])
-    emap, report = embed_points(params, SPHERE, points, SolverConfig(), workers=1)
+    emap, report = embed_points(params, SPHERE, points, SolverConfig())
     assert len(report.errors) == 1
     assert "RankDeficient" in report.errors[0]
     assert not emap.entries[0].converged
@@ -128,7 +133,7 @@ def test_verify_stationarity_thresholds():
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.2], [0.0, 0.2], [0.05, 0.05]]), spacing=0.1
     )
-    emap, _ = embed_lattice(PROJECTION_PARAMS, PLANE, lattice, SolverConfig(), workers=1)
+    emap, _ = embed_lattice(PROJECTION_PARAMS, PLANE, lattice, SolverConfig())
     tight = verify_stationarity(PROJECTION_PARAMS, PLANE, emap, tol=1e-5)
     assert tight.pass_fraction == 1.0
     vacuous = verify_stationarity(PROJECTION_PARAMS, PLANE, emap, tol=float("inf"))
@@ -176,11 +181,3 @@ def test_energy_traces_bounded_below_with_curvature_term():
         _, trace = descend_point(params, TORUS, q0, SolverConfig(max_iters=40))
         assert min(trace.energies) >= bound
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LATTICE_EMBED_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LATTICE_EMBED_THREADS", "junk")
-    assert worker_count() >= 1
-    monkeypatch.delenv("LATTICE_EMBED_THREADS")
-    assert worker_count() >= 1
