@@ -52,8 +52,7 @@ def run_embed(config: RunConfig) -> int:
     spec = config.manifold()
     params = config.energy_params()
     lattice = config.lattice()
-    solver_config = config.solver()
-    emap, report = embed_lattice(params, spec, lattice, solver_config)
+    emap, report = embed_lattice(params, spec, lattice, config.solver())
     digest = config.digest()
     out = _out_dir(config)
     formats = config.get("output", "formats")
@@ -84,7 +83,6 @@ def run_embed(config: RunConfig) -> int:
                 {
                     "record": "summary",
                     "config_digest": digest,
-                    "seed": solver_config.seed,
                     "attempted": report.attempted,
                     "skipped": report.skipped,
                     "converged": report.converged_count,
@@ -188,7 +186,7 @@ def run_energy(config: RunConfig, points_file: str) -> int:
     return 0
 
 
-def run_validate(config: RunConfig | None = None) -> int:
+def run_validate() -> int:
     from .validate_suite import run_all
 
     results = run_all()
@@ -211,12 +209,8 @@ def run_command(command: str, config: RunConfig | None, **kwargs) -> int:
     if command == "energy":
         return run_energy(config, **kwargs)
     if command == "validate":
-        return run_validate(config)
+        return run_validate()
     raise ValueError(f"unknown command {command!r}")
-
-
-def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text())
 
 
 def main(argv=None) -> int:
@@ -239,23 +233,16 @@ def main(argv=None) -> int:
         "energy", help="evaluate the energy and gradient at probe points"
     )
     p_energy.add_argument("config")
-    p_energy.add_argument("--points", required=True)
+    p_energy.add_argument("--points", dest="points_file", required=True)
 
-    p_validate = sub.add_parser("validate", help="run the acceptance suite")
-    p_validate.add_argument("config", nargs="?")
+    sub.add_parser("validate", help="run the acceptance suite")
 
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    command = options.pop("command")
+    path = options.pop("config", None)
     try:
-        config = None
-        if getattr(args, "config", None):
-            config = _load_config(args.config)
-        if args.command == "embed":
-            return run_embed(config)
-        if args.command == "curvature":
-            return run_curvature(config, grid=args.grid)
-        if args.command == "energy":
-            return run_energy(config, points_file=args.points)
-        return run_validate(config)
+        config = parse_config(Path(path).read_text()) if path else None
+        return run_command(command, config, **options)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -85,7 +85,6 @@ _SCHEMA: dict[str, dict] = {
         "step": (float, 0.1, repr),
         "max_iters": (int, 500, repr),
         "grad_tol": (float, 1e-6, repr),
-        "seed": (int, 0, repr),
     },
     "output": {
         "directory": (str, "out", str),
@@ -157,7 +156,6 @@ class RunConfig:
             initial_step=s["step"],
             max_iters=s["max_iters"],
             grad_tol=s["grad_tol"],
-            seed=s["seed"],
         )
 
     # -- canonical text form ----------------------------------------------

@@ -60,11 +60,10 @@ class EnergyParams:
     def field_for(self, spec: ManifoldSpec) -> ActivationField:
         return ActivationField(manifold=spec, tube_radius=self.tube_radius)
 
-    def rule_for(self, spec: ManifoldSpec, seed: int | None = None) -> QuadratureRule:
+    def rule_for(self, spec: ManifoldSpec) -> QuadratureRule:
+        """The run's one tangent-sphere rule, seeded by quadrature_seed."""
         return build_quadrature(
-            spec.intrinsic_dim,
-            self.quadrature_resolution,
-            self.quadrature_seed if seed is None else seed,
+            spec.intrinsic_dim, self.quadrature_resolution, self.quadrature_seed
         )
 
 

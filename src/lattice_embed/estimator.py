@@ -49,8 +49,9 @@ class LatticeEmbedder(BaseEstimator):
 
     Parameters mirror the energy functional and solver settings: alpha/beta
     weight the tangential/normal alignment, gamma the tangent-sphere
-    curvature integral, lam the tube-smoothing regularization.  ``manifold``
-    is a built-in name (with ``manifold_params``) or a ready ManifoldSpec.
+    curvature integral, lam the tube-smoothing regularization; ``seed``
+    seeds that integral's quadrature rule.  ``manifold`` is a built-in name
+    (with ``manifold_params``) or a ready ManifoldSpec.
 
     After ``fit(X)`` the training embedding is available as ``embedding_``
     and the solve diagnostics as ``report_``; ``transform`` solves any batch
@@ -107,7 +108,6 @@ class LatticeEmbedder(BaseEstimator):
             initial_step=self.step,
             max_iters=self.max_iters,
             grad_tol=self.grad_tol,
-            seed=self.seed,
         )
         return spec, params, config
 

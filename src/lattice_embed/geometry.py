@@ -1,10 +1,10 @@
 """Manifold charts, tangent/normal frames, projection, and curvature kernels.
 
-A manifold is a parametric chart over a rectangular parameter box.  The
-built-ins (plane, sphere, torus) carry analytic Jacobians, closed-form
-closest-point projection, and exact Gaussian curvature; generic charts fall
-back to damped Gauss-Newton projection and a finite-difference curvature
-pipeline built from central differences of the pullback metric.
+A manifold is a parametric chart over a rectangular parameter box, with an
+analytic Jacobian.  The built-ins (plane, sphere, torus) also carry
+closed-form closest-point projection and exact Gaussian curvature; generic
+charts fall back to damped Gauss-Newton projection and a finite-difference
+curvature pipeline built from central differences of the pullback metric.
 """
 from __future__ import annotations
 
@@ -27,12 +27,13 @@ from .expressions import compile_chart
 
 Array = np.ndarray
 
-# Relative step for finite-difference chart Jacobians (cbrt(eps) scaling).
-_FD_JACOBIAN_REL_STEP = 6.0e-6
 # Relative step for metric derivatives, times the per-axis domain extent.
 _GEO_REL_STEP = 1.0e-4
 _BOUNDS_TOL = 1e-9
 _TIE_TOL = 1e-12
+# Gauss-Newton projection: iteration budget and the step size that ends it.
+_GN_MAX_ITERS = 100
+_GN_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +44,10 @@ class ManifoldSpec:
     ambient_dim: int
     intrinsic_dim: int
     chart_fn: Callable[[Array], Array]
+    jacobian_fn: Callable[[Array], Array]  # u -> (n, d) chart partials
     param_bounds: Array  # (d, 2) rows of (lower, upper)
     analytic_curvature_available: bool = False
     periodic: tuple[bool, ...] = ()
-    jacobian_fn: Callable[[Array], Array] | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,27 +191,17 @@ class ManifoldSpec:
     def parametric(
         cls,
         bounds: Sequence[Sequence[float]],
-        expressions: Sequence[str] | None = None,
-        chart: Callable[[Array], Array] | None = None,
-        jacobian: Callable[[Array], Array] | None = None,
-        ambient_dim: int | None = None,
+        expressions: Sequence[str],
         periodic: Sequence[bool] | None = None,
     ) -> "ManifoldSpec":
-        """Chart from expression strings (preferred; analytic Jacobian) or a
-        raw callable (finite-difference Jacobian unless one is supplied)."""
+        """Chart from one expression string per ambient coordinate over the
+        parameters u1..ud; its Jacobian is differentiated symbolically."""
         bounds = np.asarray(bounds, dtype=float)
         d = bounds.shape[0]
-        if expressions is not None:
-            chart, jacobian = compile_chart(list(expressions), d)
-            n = len(expressions)
-        elif chart is not None:
-            probe = np.asarray(chart(bounds.mean(axis=1)), dtype=float)
-            n = ambient_dim if ambient_dim is not None else probe.shape[-1]
-        else:
-            raise ValueError("parametric manifold needs expressions or a chart")
+        chart, jacobian = compile_chart(list(expressions), d)
         return cls(
             kind="parametric",
-            ambient_dim=n,
+            ambient_dim=len(expressions),
             intrinsic_dim=d,
             chart_fn=chart,
             param_bounds=bounds,
@@ -257,16 +248,16 @@ class Projection(NamedTuple):
     u: Array  # chart parameter of the closest point
 
 
-def _check_param(spec: ManifoldSpec, u, *, name: str = "u") -> Array:
+def _check_param(spec: ManifoldSpec, u) -> Array:
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != spec.intrinsic_dim:
         raise OutOfDomainError(
-            f"{name} has dimension {u.shape[0]}, expected {spec.intrinsic_dim}"
+            f"u has dimension {u.shape[0]}, expected {spec.intrinsic_dim}"
         )
     lo, hi = spec.param_bounds[:, 0], spec.param_bounds[:, 1]
     slack = _BOUNDS_TOL * spec.extents
     if np.any(u < lo - slack) or np.any(u > hi + slack):
-        raise OutOfDomainError(f"{name}={u} outside parameter bounds")
+        raise OutOfDomainError(f"u={u} outside parameter bounds")
     return u
 
 
@@ -279,18 +270,7 @@ def _plane_chart(u):
 
 
 def _jacobian(spec: ManifoldSpec, u: Array) -> Array:
-    if spec.jacobian_fn is not None:
-        return np.asarray(spec.jacobian_fn(u), dtype=float)
-    steps = _FD_JACOBIAN_REL_STEP * spec.extents
-    cols = []
-    for k in range(spec.intrinsic_dim):
-        offset = np.zeros(spec.intrinsic_dim)
-        offset[k] = steps[k]
-        cols.append(
-            (spec.chart_fn(u + offset) - spec.chart_fn(u - offset))
-            / (2.0 * steps[k])
-        )
-    return np.stack(cols, axis=-1)
+    return np.asarray(spec.jacobian_fn(u), dtype=float)
 
 
 def chart_eval(spec: ManifoldSpec, u) -> Array:
@@ -300,7 +280,7 @@ def chart_eval(spec: ManifoldSpec, u) -> Array:
 
 
 def chart_jacobian(spec: ManifoldSpec, u) -> Array:
-    """(n, d) matrix of chart partials, analytic when the spec provides it."""
+    """(n, d) matrix of chart partials."""
     u = _check_param(spec, u)
     return _jacobian(spec, u)
 
@@ -463,20 +443,14 @@ def _coarse_seed(spec: ManifoldSpec, q: Array) -> Array:
     return pts[int(np.argmin(d2))]
 
 
-def closest_point(
-    spec: ManifoldSpec,
-    q,
-    u_init=None,
-    *,
-    max_iters: int = 100,
-    step_tol: float = 1e-12,
-) -> Projection:
+def closest_point(spec: ManifoldSpec, q) -> Projection:
     """Closest point on M to the ambient point q.
 
     Built-ins use closed forms (equidistant ties are warned about and broken
     toward the smallest-lexicographic parameter).  Generic charts run damped
-    Gauss-Newton from u_init (or from the best point of a coarse parameter
-    grid), with steps clamped into the parameter box.
+    Gauss-Newton from the best point of a coarse parameter grid, with steps
+    clamped into the parameter box, for at most _GN_MAX_ITERS steps; a step
+    shorter than _GN_STEP_TOL ends it.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != spec.ambient_dim or not np.all(np.isfinite(q)):
@@ -489,19 +463,14 @@ def closest_point(
         return _closest_point_torus(spec, q)
 
     lo, hi = spec.param_bounds[:, 0], spec.param_bounds[:, 1]
-    u = (
-        _check_param(spec, u_init, name="u_init")
-        if u_init is not None
-        else _coarse_seed(spec, q)
-    )
-    u = np.clip(u, lo, hi)
+    u = _coarse_seed(spec, q)
 
     def objective(v):
         r = np.asarray(spec.chart_fn(v), dtype=float) - q
         return float(r @ r)
 
     f = objective(u)
-    for _ in range(max_iters):
+    for _ in range(_GN_MAX_ITERS):
         residual = np.asarray(spec.chart_fn(u), dtype=float) - q
         jac = _jacobian(spec, u)
         grad = jac.T @ residual
@@ -526,12 +495,12 @@ def closest_point(
             return Projection(
                 point=np.asarray(spec.chart_fn(u), dtype=float), u=u
             )
-        if applied < step_tol:
+        if applied < _GN_STEP_TOL:
             return Projection(
                 point=np.asarray(spec.chart_fn(u), dtype=float), u=u
             )
     raise NoConvergenceError(
-        f"Gauss-Newton projection did not converge within {max_iters} iterations"
+        f"Gauss-Newton projection did not converge within {_GN_MAX_ITERS} iterations"
     )
 
 

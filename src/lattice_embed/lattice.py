@@ -68,10 +68,12 @@ class EmbeddingEntry:
 
 @dataclass(eq=False)
 class EmbeddingMap:
-    """Finite association q -> zeta(q) plus per-point solve diagnostics."""
+    """Finite association q -> zeta(q) plus per-point solve diagnostics.
+
+    The map carries no quadrature state: the run's one rule follows from the
+    energy parameters, so verify_stationarity rebuilds it from them."""
 
     entries: list[EmbeddingEntry]
-    seed: int = 0  # batch seed; per-point quadrature seeds derive from it
 
     def __post_init__(self):
         seen = set()
@@ -91,7 +93,7 @@ class EmbeddingMap:
         return np.array([e.image for e in self.entries])
 
     @classmethod
-    def from_pairs(cls, points, images, seed: int = 0) -> "EmbeddingMap":
+    def from_pairs(cls, points, images) -> "EmbeddingMap":
         points = np.asarray(points, dtype=float)
         images = np.asarray(images, dtype=float)
         if points.shape != images.shape:
@@ -107,7 +109,7 @@ class EmbeddingMap:
             )
             for p, z in zip(points, images)
         ]
-        return cls(entries=entries, seed=seed)
+        return cls(entries=entries)
 
 
 def _grid_images(emap: EmbeddingMap, lattice: LatticeSpec) -> Array:

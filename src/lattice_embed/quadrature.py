@@ -5,7 +5,8 @@ pullback.
 For surfaces (d = 2) the integral is closed-form, (2 pi)^2 times the Gaussian
 curvature, since every non-parallel pair of tangent directions spans the same
 plane; above d = 2 it is a quadrature over node pairs.  The ambient gradient
-is a central difference of the integral at re-projected points.
+is a central difference of the integral at the closest points of shifted
+queries.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ from .geometry import (
     ManifoldSpec,
     closest_point,
     curvature_tensor,
-    metric,
-    sectional_curvature,
+    gaussian_curvature,
 )
 
 Array = np.ndarray
@@ -111,8 +111,11 @@ def curvature_double_integral(
     retained weight mass is rescaled so the total pair weight equals the
     squared sphere measure.  For surfaces every retained pair spans the whole
     tangent plane, so the integral is sphere_measure(2)**2 times the Gaussian
-    curvature.  Above d = 2 the nodes are mapped through a metric-orthonormal
-    basis of the tangent space and each pair's curvature is summed.
+    curvature: the closed form when the spec has one (method "auto") or is
+    asked for ("analytic"), otherwise <R(e1, e2)e2, e1> / det g from one
+    finite-difference Riemann tensor.  Above d = 2 the nodes are mapped
+    through a metric-orthonormal basis of the tangent space and each pair's
+    curvature is summed.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if rule.intrinsic_dim != spec.intrinsic_dim:
@@ -122,13 +125,6 @@ def curvature_double_integral(
         )
     if method not in ("auto", "fd", "analytic"):
         raise ValueError(f"unknown curvature method {method!r}")
-    g = metric(spec, u)
-    # B^T g B = I: the columns of B are a metric-orthonormal tangent basis,
-    # and metric inner products of mapped nodes B n_i equal Euclidean inner
-    # products of the raw nodes.
-    chol = np.linalg.cholesky(g)
-    basis = np.linalg.inv(chol).T
-
     cos = rule.nodes @ rule.nodes.T
     gram = 1.0 - cos * cos
     mask = gram > eps_parallel
@@ -137,15 +133,25 @@ def curvature_double_integral(
             "every node pair rejected as numerically parallel"
         )
     if spec.intrinsic_dim == 2:
-        return sphere_measure(2) ** 2 * sectional_curvature(
-            spec, u, basis[:, 0], basis[:, 1], method=method
-        )
+        if method == "analytic" or (
+            method == "auto" and spec.analytic_curvature_available
+        ):
+            k = gaussian_curvature(spec, u)
+        else:
+            g0, _, riemann = curvature_tensor(spec, u)
+            numerator = float(g0[:, 0] @ riemann[:, 0, 1, 1])
+            k = numerator / float(g0[0, 0] * g0[1, 1] - g0[0, 1] ** 2)
+        return sphere_measure(2) ** 2 * k
     if method == "analytic":
         raise DegeneratePlaneError("no analytic curvature above dimension 2")
 
+    g0, _, riemann = curvature_tensor(spec, u)
+    # B^T g0 B = I: the columns of B are a metric-orthonormal tangent basis,
+    # and metric inner products of mapped nodes B n_i equal Euclidean inner
+    # products of the raw nodes.
+    basis = np.linalg.inv(np.linalg.cholesky(g0)).T
     ii, jj = np.nonzero(mask)
     mapped = rule.nodes @ basis.T
-    g0, _, riemann = curvature_tensor(spec, u)
     v = mapped[ii]
     w = mapped[jj]
     swap = _lexicographic_less(w, v)
@@ -172,21 +178,6 @@ def curvature_double_integral(
     return total * float(np.sum(pair_w * kvals) / np.sum(pair_w))
 
 
-def curvature_integral_pullback(
-    spec: ManifoldSpec,
-    x,
-    rule: QuadratureRule,
-    eps_parallel: float = 1e-8,
-    *,
-    method: str = "auto",
-) -> float:
-    """The integral evaluated at the closest point on M to the ambient x."""
-    proj = closest_point(spec, x)
-    return curvature_double_integral(
-        spec, proj.u, rule, eps_parallel, method=method
-    )
-
-
 def curvature_integral_gradient(
     spec: ManifoldSpec,
     q,
@@ -196,17 +187,18 @@ def curvature_integral_gradient(
     *,
     method: str = "auto",
 ) -> Array:
-    """Central-difference ambient gradient of the pullback integral at q."""
+    """Central-difference ambient gradient of the pullback integral at q,
+    the integral being taken at the closest point on M of each shifted q."""
     q = np.asarray(q, dtype=float).reshape(-1)
     grad = np.zeros_like(q)
     for k in range(q.shape[0]):
         offset = np.zeros_like(q)
         offset[k] = fd_step
-        c_plus = curvature_integral_pullback(
-            spec, q + offset, rule, eps_parallel, method=method
-        )
-        c_minus = curvature_integral_pullback(
-            spec, q - offset, rule, eps_parallel, method=method
+        c_plus, c_minus = (
+            curvature_double_integral(
+                spec, closest_point(spec, x).u, rule, eps_parallel, method=method
+            )
+            for x in (q + offset, q - offset)
         )
         grad[k] = (c_plus - c_minus) / (2.0 * fd_step)
     return grad

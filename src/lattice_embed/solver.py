@@ -2,9 +2,10 @@
 
 Each lattice point is an independent minimization of the three-term energy,
 seeded at the point itself; Armijo backtracking guarantees every accepted
-step strictly decreases the energy.  Per-point quadrature seeds are derived
-from the batch seed and the point index, so each point's result depends only
-on that point, its index and the settings, never on the rest of the batch.
+step strictly decreases the energy.  A batch builds one quadrature rule from
+the energy parameters (the rule that total_energy uses by default), so each
+point's result depends only on that point and the settings, never on its
+index or on the rest of the batch.
 """
 from __future__ import annotations
 
@@ -23,24 +24,21 @@ from .validation import check_points_array
 Array = np.ndarray
 
 _MIN_STEP = 1e-16
+# Armijo line search: each rejected trial step is multiplied by _BACKTRACK, and
+# a step s is accepted when it lowers the energy by _ARMIJO_C * s * |grad|^2.
+_BACKTRACK = 0.5
+_ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     initial_step: float = 0.1
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
     max_iters: int = 500
     grad_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.initial_step <= 0.0:
             raise ValueError("initial_step must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -83,14 +81,14 @@ def descend_point(
         while step >= _MIN_STEP:
             candidate = q - step * grad
             cand_energy = total_energy(params, spec, candidate, rule=rule)
-            if cand_energy <= energy - config.armijo_c * step * grad_norm**2:
+            if cand_energy <= energy - _ARMIJO_C * step * grad_norm**2:
                 q = candidate
                 energy = cand_energy
                 trace.energies.append(energy)
                 trace.iterations += 1
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= _BACKTRACK
         if not accepted:
             trace.stalled = True
             break
@@ -115,13 +113,12 @@ class SolveReport:
     errors: list[str] = field(default_factory=list)
 
 
-def _point_rule(params: EnergyParams, spec: ManifoldSpec, batch_seed: int, index: int):
-    if params.gamma == 0.0:
-        return None
-    return params.rule_for(spec, seed=batch_seed ^ index)
+def _batch_rule(params: EnergyParams, spec: ManifoldSpec) -> QuadratureRule | None:
+    # the default rule of total_energy, built once; no rule without curvature
+    return params.rule_for(spec) if params.gamma != 0.0 else None
 
 
-def _solve_one(params, spec, q, config, index):
+def _solve_one(params, spec, q, config, rule, index):
     support = 2.0 * params.tube_radius
     try:
         proj = closest_point(spec, q)
@@ -137,7 +134,6 @@ def _solve_one(params, spec, q, config, index):
                 skipped=True,
             )
             return entry, None, None
-        rule = _point_rule(params, spec, config.seed, index)
         image, trace = descend_point(params, spec, q, config, rule=rule)
     except LatticeEmbedError as exc:
         # per-point failures are reported, never abort the batch
@@ -171,15 +167,17 @@ def embed_points(
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Run the per-point descent over an arbitrary batch of seed points.
 
-    The whole batch is validated before any point is solved.  Points farther
-    than twice the tube radius from M are outside the activation support and
-    are marked skipped.  Per-point solver errors never abort the batch;
-    output order follows input order.
+    The whole batch is validated before any point is solved, and every point
+    descends with the one quadrature rule params.rule_for(spec).  Points
+    farther than twice the tube radius from M are outside the activation
+    support and are marked skipped.  Per-point solver errors never abort the
+    batch; output order follows input order.
     """
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     start = time.perf_counter()
+    rule = _batch_rule(params, spec)
     results = [
-        _solve_one(params, spec, q, config, i) for i, q in enumerate(points)
+        _solve_one(params, spec, q, config, rule, i) for i, q in enumerate(points)
     ]
     entries = [entry for entry, _, _ in results]
     report = SolveReport()
@@ -200,7 +198,7 @@ def embed_points(
     ]
     report.max_residual = max(residuals) if residuals else 0.0
     report.wall_time = time.perf_counter() - start
-    emap = EmbeddingMap(entries=entries, seed=config.seed)
+    emap = EmbeddingMap(entries=entries)
     return emap, report
 
 
@@ -275,10 +273,10 @@ def verify_stationarity(
     passed = 0
     worst_norm = 0.0
     worst_index = None
+    rule = _batch_rule(params, spec)
     for index, entry in enumerate(emap.entries):
         if entry.skipped or not entry.converged:
             continue
-        rule = _point_rule(params, spec, emap.seed, index)
         norm = float(
             np.linalg.norm(el_residual(params, spec, entry.image, rule=rule))
         )

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from lattice_embed.config import default_config, parse_config
@@ -132,3 +135,12 @@ def test_default_config_helper():
     assert config.lattice().axis_counts == (5, 5, 1)
     assert config.solver().grad_tol == 1e-6
     assert config.energy_params().quadrature_resolution == 64
+
+
+def test_readme_ini_blocks_parse():
+    # a key deleted from the schema must not linger in the documented configs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_config(block)

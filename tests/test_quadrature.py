@@ -69,6 +69,14 @@ def test_integral_sphere_radius_two():
     assert abs(value - TWO_PI_SQ / 4) <= 0.01 * TWO_PI_SQ / 4
 
 
+def test_integral_sphere_pole():
+    # the colatitude chart's metric is singular at the pole; K is not
+    rule = build_quadrature(2, 64)
+    assert curvature_double_integral(SPHERE, [0.0, 0.0], rule) == pytest.approx(
+        TWO_PI_SQ, rel=1e-15
+    )
+
+
 def test_integral_plane_zero():
     rule = build_quadrature(2, 64)
     assert abs(curvature_double_integral(PLANE, [0.3, -0.2], rule)) <= 1e-8
