@@ -3,14 +3,17 @@
 A manifold is a parametric chart over a rectangular parameter box, with an
 analytic Jacobian.  The built-ins (plane, sphere, torus) also carry
 closed-form closest-point projection and exact Gaussian curvature; generic
-charts fall back to damped Gauss-Newton projection and a finite-difference
-curvature pipeline built from central differences of the pullback metric.
+charts fall back to damped Gauss-Newton projection (seeded from a coarse
+parameter grid that each manifold evaluates once, periodic axes wrapping) and
+a finite-difference curvature pipeline built from central differences of the
+pullback metric.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -84,6 +87,17 @@ class ManifoldSpec:
     @property
     def extents(self) -> Array:
         return self.param_bounds[:, 1] - self.param_bounds[:, 0]
+
+    @cached_property
+    def seed_grid(self) -> tuple[Array, Array]:
+        """Coarse parameter grid (4 to 32 points per axis, at most about
+        4096 in all) and its chart images, the Gauss-Newton seeds; built on
+        first use and kept for the life of the spec."""
+        per_axis = max(4, min(32, int(round(4096 ** (1.0 / self.intrinsic_dim)))))
+        axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.param_bounds]
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        return pts, np.asarray(self.chart_fn(pts), dtype=float)
 
     @classmethod
     def plane(cls, bounds=((-10.0, 10.0), (-10.0, 10.0))) -> "ManifoldSpec":
@@ -433,24 +447,18 @@ def _closest_point_torus(spec, q):
     return Projection(point=np.asarray(spec.chart_fn(u), float), u=u)
 
 
-def _coarse_seed(spec: ManifoldSpec, q: Array) -> Array:
-    per_axis = max(4, min(32, int(round(4096 ** (1.0 / spec.intrinsic_dim)))))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in spec.param_bounds]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    images = np.asarray(spec.chart_fn(pts), dtype=float)
-    d2 = np.sum((images - q) ** 2, axis=-1)
-    return pts[int(np.argmin(d2))]
-
-
 def closest_point(spec: ManifoldSpec, q) -> Projection:
     """Closest point on M to the ambient point q.
 
     Built-ins use closed forms (equidistant ties are warned about and broken
     toward the smallest-lexicographic parameter).  Generic charts run damped
-    Gauss-Newton from the best point of a coarse parameter grid, with steps
-    clamped into the parameter box, for at most _GN_MAX_ITERS steps; a step
-    shorter than _GN_STEP_TOL ends it.
+    Gauss-Newton from the nearest point of the spec's coarse seed grid, for
+    at most _GN_MAX_ITERS steps.  Candidates wrap on periodic axes and are
+    clamped into the box on the others; each step halves its damping until
+    the objective decreases or the step t*|d| falls below _GN_STEP_TOL, and
+    a step moving u by less than _GN_STEP_TOL ends the projection.  Each
+    chart image is evaluated once: the accepted candidate's image is the next
+    residual and the returned point.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != spec.ambient_dim or not np.all(np.isfinite(q)):
@@ -462,16 +470,13 @@ def closest_point(spec: ManifoldSpec, q) -> Projection:
     if spec.kind == "torus":
         return _closest_point_torus(spec, q)
 
-    lo, hi = spec.param_bounds[:, 0], spec.param_bounds[:, 1]
-    u = _coarse_seed(spec, q)
-
-    def objective(v):
-        r = np.asarray(spec.chart_fn(v), dtype=float) - q
-        return float(r @ r)
-
-    f = objective(u)
+    grid, images = spec.seed_grid
+    # a copy: the returned u must not alias the cached grid
+    u = grid[int(np.argmin(np.sum((images - q) ** 2, axis=-1)))].copy()
+    point = np.asarray(spec.chart_fn(u), dtype=float)
+    residual = point - q
+    f = float(residual @ residual)
     for _ in range(_GN_MAX_ITERS):
-        residual = np.asarray(spec.chart_fn(u), dtype=float) - q
         jac = _jacobian(spec, u)
         grad = jac.T @ residual
         hess = jac.T @ jac
@@ -479,26 +484,25 @@ def closest_point(spec: ManifoldSpec, q) -> Projection:
             direction = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        dnorm = float(np.linalg.norm(direction))
+        applied = 0.0
         t = 1.0
-        moved = False
-        for _ in range(60):
-            cand = np.clip(u + t * direction, lo, hi)
-            f_cand = objective(cand)
+        # a NaN direction fails the test and ends the projection
+        while t * dnorm >= _GN_STEP_TOL:
+            cand = _wrap_parameter(spec, u + t * direction)
+            cand_point = np.asarray(spec.chart_fn(cand), dtype=float)
+            cand_residual = cand_point - q
+            f_cand = float(cand_residual @ cand_residual)
             if f_cand < f:
-                applied = np.linalg.norm(cand - u)
-                u, f = cand, f_cand
-                moved = True
+                # the move before wrapping: a seam crossing is a short step
+                move = np.where(spec.periodic, t * direction, cand - u)
+                applied = float(np.linalg.norm(move))
+                u, point, residual, f = cand, cand_point, cand_residual, f_cand
                 break
             t *= 0.5
-        if not moved:
-            # no decrease at any damping: stationary to working precision
-            return Projection(
-                point=np.asarray(spec.chart_fn(u), dtype=float), u=u
-            )
         if applied < _GN_STEP_TOL:
-            return Projection(
-                point=np.asarray(spec.chart_fn(u), dtype=float), u=u
-            )
+            # no decrease above the step floor, or a step below it
+            return Projection(point=point, u=u)
     raise NoConvergenceError(
         f"Gauss-Newton projection did not converge within {_GN_MAX_ITERS} iterations"
     )

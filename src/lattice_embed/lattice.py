@@ -15,6 +15,8 @@ Array = np.ndarray
 
 # snap-to-node tolerance for interpolation cell coordinates, in cell units
 _NODE_SNAP = 1e-9
+# rows of the pairwise-distance matrix that check_injective_invert holds at once
+_PAIR_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,22 +205,29 @@ class InjectivityReport:
 
 def check_injective_invert(emap: EmbeddingMap, tol: float) -> InjectivityReport:
     """Pairwise-distance injectivity check; on success also the finite
-    inverse table satisfying inverse[zeta(q)] == q for every entry."""
+    inverse table satisfying inverse[zeta(q)] == q for every entry.  A
+    collision reports the first closest pair in row-major order."""
     if len(emap) == 0:
         raise ValueError("map is empty")
     images = emap.images()
     points = emap.points()
     m = images.shape[0]
-    if m == 1:
-        inverse = {tuple(images[0]): tuple(points[0])}
-        return InjectivityReport(True, math.inf, inverse, None)
-    diff = images[:, None, :] - images[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    dist[np.arange(m), np.arange(m)] = np.inf
-    min_dist = float(np.min(dist))
+    # Row blocks keep memory linear in m; the smallest entry of each block
+    # and its row-major index reproduce argmin over the full m x m matrix.
+    block_min, block_arg = [], []
+    for start in range(0, m, _PAIR_BLOCK_ROWS):
+        diff = images[start : start + _PAIR_BLOCK_ROWS, None, :] - images[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        rows = np.arange(dist.shape[0])
+        dist[rows, start + rows] = np.inf
+        k = int(np.argmin(dist))
+        block_min.append(dist.flat[k])
+        block_arg.append(start * m + k)
+    best = int(np.argmin(block_min))
+    min_dist = float(block_min[best])
     if min_dist <= tol:
-        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        return InjectivityReport(False, min_dist, None, (int(i), int(j)))
+        i, j = divmod(block_arg[best], m)
+        return InjectivityReport(False, min_dist, None, (i, j))
     inverse = {tuple(z): tuple(q) for q, z in zip(points, images)}
     return InjectivityReport(True, min_dist, inverse, None)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_embed.errors import (
     DegeneratePlaneError,
@@ -10,6 +12,7 @@ from lattice_embed.errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
+from lattice_embed.expressions import compile_chart
 from lattice_embed.geometry import (
     ManifoldSpec,
     chart_eval,
@@ -236,6 +239,74 @@ def test_closest_point_degenerate_torus_axis_warns():
     assert proj.u[0] == 0.0
     # z = 0 on the axis: nearest tube point is the inner equator (b = pi)
     assert np.allclose(proj.point, [1.5, 0.0, 0.0])
+
+
+def test_chart_projection_evaluation_budget():
+    chart, jacobian = compile_chart(["u1", "u2", "0.3*sin(2*u1)*cos(u2)"], 2)
+    calls = []
+
+    def counted_chart(u):
+        calls.append(np.shape(u))
+        return chart(u)
+
+    spec = ManifoldSpec(
+        kind="parametric",
+        ambient_dim=3,
+        intrinsic_dim=2,
+        chart_fn=counted_chart,
+        jacobian_fn=jacobian,
+        param_bounds=[(-1.0, 1.0), (-1.0, 1.0)],
+    )
+    rng = np.random.default_rng(8)
+    queries = rng.uniform([-0.8, -0.8, -0.2], [0.8, 0.8, 0.2], size=(300, 3))
+    projections = [closest_point(spec, q) for q in queries]
+    # the seed grid is evaluated once, as one batch, for all 300 projections
+    assert calls.count((1024, 2)) == 1
+    assert len(calls) / len(queries) <= 25.0
+    axis = np.linspace(-1.0, 1.0, 32)
+    fresh = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], -1)
+    fresh_images = chart(fresh)
+    grid, images = spec.seed_grid
+    assert np.array_equal(grid, fresh) and np.array_equal(images, fresh_images)
+    for q, proj in zip(queries, projections):
+        seed = fresh[np.argmin(np.sum((fresh_images - q) ** 2, axis=-1))]
+        assert np.array_equal(seed, grid[np.argmin(np.sum((images - q) ** 2, axis=-1))])
+        assert proj.point.tobytes() == chart(proj.u).tobytes()
+    # a query on a grid node returns its seed unchanged, as a copy
+    on_node = closest_point(spec, images[5])
+    assert np.array_equal(on_node.u, grid[5]) and not np.shares_memory(on_node.u, grid)
+
+
+def test_builtin_projection_builds_no_seed_grid():
+    spec = ManifoldSpec.torus(2.0, 0.5)
+    closest_point(spec, [2.4, 0.1, 0.2])
+    assert "seed_grid" not in vars(spec)
+
+
+PERIODIC_TORUS = ManifoldSpec.parametric(
+    bounds=[(0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)],
+    expressions=[
+        "(2+0.5*cos(u2))*cos(u1)",
+        "(2+0.5*cos(u2))*sin(u1)",
+        "0.5*sin(u2)",
+    ],
+    periodic=(True, True),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-0.15, 0.15),
+    b=st.floats(-0.15, 0.15),
+    radius=st.floats(0.3, 0.7),
+)
+def test_periodic_chart_projection_crosses_both_seams(a, b, radius):
+    # toroidal and poloidal angles near 0 = 2 pi: Gauss-Newton must step
+    # across the seam of each axis to reach the closed-form closest point
+    ring = 2.0 + radius * math.cos(b)
+    q = np.array([ring * math.cos(a), ring * math.sin(a), radius * math.sin(b)])
+    proj = closest_point(PERIODIC_TORUS, q)
+    assert np.linalg.norm(proj.point - closest_point(TORUS, q).point) < 1e-7
 
 
 # --- curvature --------------------------------------------------------------

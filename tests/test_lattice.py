@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_embed.energy import EnergyParams
 from lattice_embed.errors import EmptyLatticeError, OutOfHullError
@@ -172,6 +174,30 @@ def test_injectivity_survives_small_noise():
     assert report.injective
     # triangle inequality: min pairwise distance >= spacing - 2e-3
     assert report.min_pair_distance >= 1.0 - 2e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(300, 700),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.lists(st.tuples(st.integers(0, 443), st.integers(0, 443)), max_size=3),
+)
+def test_injectivity_blocks_match_full_matrix(m, seed, planted):
+    images = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, 3))
+    for i, j in planted:
+        # an exact collision past the first 256-row block, or none if i == j
+        images[256 + j % (m - 256)] = images[256 + i % (m - 256)]
+    emap = EmbeddingMap.from_pairs(np.arange(3 * m, dtype=float).reshape(m, 3), images)
+    report = check_injective_invert(emap, tol=1e-9)
+    # reference: the full m x m matrix, first minimum in row-major order
+    diff = images[:, None, :] - images[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist[np.arange(m), np.arange(m)] = np.inf
+    k = int(np.argmin(dist))
+    assert report.min_pair_distance == dist.flat[k]
+    assert report.injective == (dist.flat[k] > 1e-9)
+    expected_pair = None if report.injective else (k // m, k % m)
+    assert report.colliding_pair == expected_pair
 
 
 # --- linear-map energies ----------------------------------------------------
