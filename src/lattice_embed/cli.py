@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .energy import total_energy, total_gradient
-from .errors import ConfigError, LatticeEmbedError
+from .errors import ConfigError, LatticeEmbedError, ValidationError
 from .geometry import sectional_curvature
 from .quadrature import curvature_double_integral, sphere_measure
 from .solver import embed_lattice
@@ -52,6 +52,12 @@ def run_embed(config: RunConfig) -> int:
     spec = config.manifold()
     params = config.energy_params()
     lattice = config.lattice()
+    if lattice.dim != spec.ambient_dim:
+        # checked here, not in parse_config: curvature and energy read no lattice
+        raise ValidationError(
+            f"lattice.bounds: {lattice.dim} axes, but the manifold lies in "
+            f"R^{spec.ambient_dim}"
+        )
     emap, report = embed_lattice(params, spec, lattice, config.solver())
     digest = config.digest()
     out = _out_dir(config)
@@ -122,9 +128,7 @@ def run_embed(config: RunConfig) -> int:
 
 def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     spec = config.manifold()
-    quad = config.sections["quadrature"]
     rule = config.energy_params().rule_for(spec)
-    eps = quad["eps_parallel"]
     # cell centers keep the stencil inside the box and off chart degeneracies
     axes = [
         lo + (np.arange(grid) + 0.5) * (hi - lo) / grid
@@ -134,13 +138,13 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     points = np.stack([g.ravel() for g in grids], axis=-1)
     rows = []
     for u in points:
-        integral = curvature_double_integral(spec, u, rule, eps)
+        integral = curvature_double_integral(spec, u, rule)
         if spec.intrinsic_dim == 2:
             # every tangent pair spans the one plane: C = (2 pi)^2 K
             k = integral / sphere_measure(2) ** 2
         else:
             basis = np.eye(spec.intrinsic_dim)
-            k = sectional_curvature(spec, u, basis[0], basis[1], eps_parallel=eps)
+            k = sectional_curvature(spec, u, basis[0], basis[1])
         rows.append(list(u) + [float(k), float(integral)])
     columns = [f"u{k + 1}" for k in range(spec.intrinsic_dim)] + ["K", "C"]
     out = _out_dir(config)
@@ -165,14 +169,13 @@ def _read_points(path: Path) -> np.ndarray:
 def run_energy(config: RunConfig, points_file: str) -> int:
     spec = config.manifold()
     params = config.energy_params()
-    rule = params.rule_for(spec) if params.gamma != 0.0 else None
     points = check_points_array(
         _read_points(Path(points_file)), expected_dim=spec.ambient_dim
     )
     rows = []
     for q in points:
-        value = total_energy(params, spec, q, rule=rule)
-        grad = total_gradient(params, spec, q, rule=rule)
+        value = total_energy(params, spec, q)
+        grad = total_gradient(params, spec, q)
         rows.append(list(q) + [float(value)] + list(grad))
     n = spec.ambient_dim
     columns = (

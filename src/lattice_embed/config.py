@@ -74,12 +74,10 @@ _SCHEMA: dict[str, dict] = {
     },
     "field": {
         "tube_radius": (float, 0.1, repr),
-        "mu": (float, 0.0, repr),
     },
     "quadrature": {
         "resolution": (int, 64, repr),
         "seed": (int, 0, repr),
-        "eps_parallel": (float, 1e-8, repr),
     },
     "solver": {
         "step": (float, 0.1, repr),
@@ -139,11 +137,9 @@ class RunConfig:
             beta=e["beta"],
             gamma=e["gamma"],
             lam=e["lambda"],
-            mu=f["mu"],
             tube_radius=f["tube_radius"],
             quadrature_resolution=quad["resolution"],
             quadrature_seed=quad["seed"],
-            eps_parallel=quad["eps_parallel"],
         )
 
     def lattice(self) -> LatticeSpec:
@@ -189,9 +185,6 @@ def _validate(config: RunConfig) -> None:
     require("field", "tube_radius", f["tube_radius"] > 0.0, "must be positive")
     quad = config.sections["quadrature"]
     require("quadrature", "resolution", quad["resolution"] >= 4, "must be >= 4")
-    require(
-        "quadrature", "eps_parallel", quad["eps_parallel"] > 0.0, "must be positive"
-    )
     lat = config.sections["lattice"]
     require("lattice", "spacing", lat["spacing"] > 0.0, "must be positive")
     require(
@@ -285,7 +278,7 @@ def parse_config(text: str) -> RunConfig:
         config.manifold()  # surfaces bad manifold settings as config errors
     except ConfigError:
         raise
-    except LatticeEmbedError as exc:
+    except (LatticeEmbedError, ValueError) as exc:
         raise ValidationError(f"manifold: {exc}") from exc
     return config
 

@@ -3,8 +3,10 @@
 total = alignment + gamma * curvature integral (closest-point pullback)
         + (lam/2) ||grad A||^2
 
-The stationarity (Euler-Lagrange) residual is by construction identical to
-the energy gradient, so "stationary point" and "zero residual" are the same
+The curvature term takes its tangent-sphere rule from EnergyParams.rule_for,
+so every evaluation with the same parameters uses the same rule.  The
+stationarity (Euler-Lagrange) residual is by construction identical to the
+energy gradient, so "stationary point" and "zero residual" are the same
 testable statement.
 """
 from __future__ import annotations
@@ -47,7 +49,6 @@ class EnergyParams:
     tube_radius: float = 0.1
     quadrature_resolution: int = 64
     quadrature_seed: int = 0
-    eps_parallel: float = 1e-8
 
     def __post_init__(self):
         if self.alpha <= 0.0 or self.beta <= 0.0:
@@ -61,7 +62,9 @@ class EnergyParams:
         return ActivationField(manifold=spec, tube_radius=self.tube_radius)
 
     def rule_for(self, spec: ManifoldSpec) -> QuadratureRule:
-        """The run's one tangent-sphere rule, seeded by quadrature_seed."""
+        """The tangent-sphere rule of the curvature term, seeded by
+        quadrature_seed: the only place the energy gets its rule, and the
+        same (memoized) rule on every call."""
         return build_quadrature(
             spec.intrinsic_dim, self.quadrature_resolution, self.quadrature_seed
         )
@@ -101,13 +104,7 @@ def _alignment_grad(params: EnergyParams, spec: ManifoldSpec, proj, q) -> Array:
     return alignment_gradient(params, frame, proj.point, q)
 
 
-def total_energy(
-    params: EnergyParams,
-    spec: ManifoldSpec,
-    q,
-    *,
-    rule: QuadratureRule | None = None,
-) -> float:
+def total_energy(params: EnergyParams, spec: ManifoldSpec, q) -> float:
     """Full three-term energy at an ambient point.
 
     With gamma = lam = 0 this returns the alignment term bit-identically (the
@@ -117,10 +114,8 @@ def total_energy(
     proj = closest_point(spec, q)
     value = _alignment_value(params, spec, proj, q)
     if params.gamma != 0.0:
-        if rule is None:
-            rule = params.rule_for(spec)
         value += params.gamma * curvature_double_integral(
-            spec, proj.u, rule, params.eps_parallel
+            spec, proj.u, params.rule_for(spec)
         )
     if params.lam != 0.0:
         grad_a = _activation_gradient_at(params.field_for(spec), q, proj.point)
@@ -128,13 +123,7 @@ def total_energy(
     return value
 
 
-def total_gradient(
-    params: EnergyParams,
-    spec: ManifoldSpec,
-    q,
-    *,
-    rule: QuadratureRule | None = None,
-) -> Array:
+def total_gradient(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
     """Gradient of total_energy: the frozen-projection alignment gradient,
     the closed-form regularization gradient at the same projection, and the
     curvature gradient by central differences of the pullback integral
@@ -143,10 +132,8 @@ def total_gradient(
     proj = closest_point(spec, q)
     grad = _alignment_grad(params, spec, proj, q)
     if params.gamma != 0.0:
-        if rule is None:
-            rule = params.rule_for(spec)
         grad = grad + params.gamma * curvature_integral_gradient(
-            spec, q, rule, eps_parallel=params.eps_parallel
+            spec, q, params.rule_for(spec)
         )
     if params.lam != 0.0:
         grad = grad + _regularization_gradient_at(
@@ -155,26 +142,14 @@ def total_gradient(
     return grad
 
 
-def el_residual(
-    params: EnergyParams,
-    spec: ManifoldSpec,
-    q,
-    *,
-    rule: QuadratureRule | None = None,
-) -> Array:
+def el_residual(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
     """Stationarity residual alpha(q-p)_T + beta(q-p)_N + gamma K(q)
     + lam Delta_A(q); identical to total_gradient by construction, so a
     stationary point is exactly a zero of this vector."""
-    return total_gradient(params, spec, q, rule=rule)
+    return total_gradient(params, spec, q)
 
 
-def embedding_pde_residual(
-    params: EnergyParams,
-    spec: ManifoldSpec,
-    q,
-    *,
-    rule: QuadratureRule | None = None,
-) -> Array:
+def embedding_pde_residual(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
     """Tube-reinforced stationarity diagnostic: the alignment gradient plus
     the gamma-weighted curvature gradient plus mu times the activation
     gradient.  On the activation plateau the mu term vanishes identically."""
@@ -182,10 +157,8 @@ def embedding_pde_residual(
     proj = closest_point(spec, q)
     residual = _alignment_grad(params, spec, proj, q)
     if params.gamma != 0.0:
-        if rule is None:
-            rule = params.rule_for(spec)
         residual = residual + params.gamma * curvature_integral_gradient(
-            spec, q, rule, eps_parallel=params.eps_parallel
+            spec, q, params.rule_for(spec)
         )
     if params.mu != 0.0:
         residual = residual + params.mu * _activation_gradient_at(

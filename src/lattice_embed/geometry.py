@@ -37,6 +37,9 @@ _TIE_TOL = 1e-12
 # Gauss-Newton projection: iteration budget and the step size that ends it.
 _GN_MAX_ITERS = 100
 _GN_STEP_TOL = 1e-12
+# Two tangent directions count as parallel when the normalized Gram
+# determinant 1 - cos^2 of their angle is at or below this.
+PARALLEL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -634,7 +637,7 @@ def gaussian_curvature(spec: ManifoldSpec, u) -> float:
     )
 
 
-def _canonical_pair(g: Array, v: Array, w: Array, eps_parallel: float):
+def _canonical_pair(g: Array, v: Array, w: Array):
     """Metric-normalize, order, and orthonormalize a tangent pair.
 
     Sectional curvature depends only on the unordered plane span{v, w}; the
@@ -647,10 +650,10 @@ def _canonical_pair(g: Array, v: Array, w: Array, eps_parallel: float):
         raise DegeneratePlaneError("tangent vectors must be nonzero")
     vh, wh = v / nv, w / nw
     cos = float(vh @ g @ wh)
-    if 1.0 - cos * cos <= eps_parallel:
+    if 1.0 - cos * cos <= PARALLEL_TOL:
         raise DegeneratePlaneError(
             f"tangent plane degenerate: normalized Gram determinant "
-            f"{1.0 - cos * cos:g} <= {eps_parallel:g}"
+            f"{1.0 - cos * cos:g} <= {PARALLEL_TOL:g}"
         )
     a, b = (vh, wh) if tuple(vh) <= tuple(wh) else (wh, vh)
     cab = float(a @ g @ b)
@@ -665,7 +668,6 @@ def sectional_curvature(
     v,
     w,
     *,
-    eps_parallel: float = 1e-8,
     method: str = "auto",
 ) -> float:
     """Sectional curvature K(v, w) = <R(v,w)w, v> / (<v,v><w,w> - <v,w>^2)
@@ -678,7 +680,7 @@ def sectional_curvature(
     v = np.asarray(v, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
     g = metric(spec, u)
-    a, b = _canonical_pair(g, v, w, eps_parallel)
+    a, b = _canonical_pair(g, v, w)
     if method not in ("auto", "fd", "analytic"):
         raise ValueError(f"unknown curvature method {method!r}")
     if method == "analytic" or (

@@ -4,14 +4,16 @@ pullback.
 
 For surfaces (d = 2) the integral is closed-form, (2 pi)^2 times the Gaussian
 curvature, since every non-parallel pair of tangent directions spans the same
-plane; above d = 2 it is a quadrature over node pairs.  The ambient gradient
-is a central difference of the integral at the closest points of shifted
-queries.
+plane, so the rule's nodes are never read; above d = 2 it is a quadrature over
+the rule's non-parallel node pairs, which each rule selects once.  Rules are
+memoized on (d, resolution, seed) and read-only.  The ambient gradient is a
+central difference of the integral at the closest points of shifted queries.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import (
     DegeneratePlaneError,
 )
 from .geometry import (
+    PARALLEL_TOL,
     ManifoldSpec,
     closest_point,
     curvature_tensor,
@@ -55,11 +58,27 @@ class QuadratureRule:
         if abs(total - sphere_measure(self.intrinsic_dim)) > 1e-9:
             raise ValueError("quadrature weights must sum to the sphere measure")
 
+    @cached_property
+    def pairs(self) -> tuple[Array, Array]:
+        """Row and column node indices of the pairs the integral keeps, in
+        row-major order: those whose normalized Gram determinant exceeds
+        PARALLEL_TOL (numerically parallel pairs span no plane)."""
+        cos = self.nodes @ self.nodes.T
+        ii, jj = np.nonzero(1.0 - cos * cos > PARALLEL_TOL)
+        ii.setflags(write=False)
+        jj.setflags(write=False)
+        return ii, jj
+
 
 def build_quadrature(d: int, resolution: int, seed: int = 0) -> QuadratureRule:
     """Equal-weight rule on S^{d-1}: uniform angles for d=2, seeded
-    pseudo-random unit vectors for d >= 3.  Deterministic in (d, resolution,
-    seed)."""
+    pseudo-random unit vectors for d >= 3.  Memoized: equal (d, resolution,
+    seed) return the same rule, whose node and weight arrays are read-only."""
+    return _cached_rule(d, resolution, seed)
+
+
+@lru_cache(maxsize=16)
+def _cached_rule(d: int, resolution: int, seed: int) -> QuadratureRule:
     if d < 2:
         raise ValueError("tangent-sphere quadrature needs d >= 2")
     if resolution < 4:
@@ -73,6 +92,8 @@ def build_quadrature(d: int, resolution: int, seed: int = 0) -> QuadratureRule:
         raw = rng.standard_normal((resolution, d))
         nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         weights = np.full(resolution, sphere_measure(d) / resolution)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     rule = QuadratureRule(
         intrinsic_dim=d,
         nodes=nodes,
@@ -101,21 +122,20 @@ def curvature_double_integral(
     spec: ManifoldSpec,
     u,
     rule: QuadratureRule,
-    eps_parallel: float = 1e-8,
     *,
     method: str = "auto",
 ) -> float:
     """Total sectional curvature over tangent-direction pairs at chart(u).
 
-    Near-parallel node pairs (Gram determinant <= eps) are rejected, and the
-    retained weight mass is rescaled so the total pair weight equals the
-    squared sphere measure.  For surfaces every retained pair spans the whole
-    tangent plane, so the integral is sphere_measure(2)**2 times the Gaussian
-    curvature: the closed form when the spec has one (method "auto") or is
-    asked for ("analytic"), otherwise <R(e1, e2)e2, e1> / det g from one
-    finite-difference Riemann tensor.  Above d = 2 the nodes are mapped
-    through a metric-orthonormal basis of the tangent space and each pair's
-    curvature is summed.
+    For surfaces every non-parallel pair spans the whole tangent plane, so
+    the integral is sphere_measure(2)**2 times the Gaussian curvature, and
+    the rule contributes only its dimension: the closed form when the spec
+    has one (method "auto") or is asked for ("analytic"), otherwise
+    <R(e1, e2)e2, e1> / det g from one finite-difference Riemann tensor.
+    Above d = 2 the rule's retained pairs (rule.pairs) are mapped through a
+    metric-orthonormal basis of the tangent space, each pair's curvature is
+    summed, and the retained weight mass is rescaled so the total pair
+    weight equals the squared sphere measure.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if rule.intrinsic_dim != spec.intrinsic_dim:
@@ -125,13 +145,6 @@ def curvature_double_integral(
         )
     if method not in ("auto", "fd", "analytic"):
         raise ValueError(f"unknown curvature method {method!r}")
-    cos = rule.nodes @ rule.nodes.T
-    gram = 1.0 - cos * cos
-    mask = gram > eps_parallel
-    if not np.any(mask):
-        raise AllPairsDegenerateError(
-            "every node pair rejected as numerically parallel"
-        )
     if spec.intrinsic_dim == 2:
         if method == "analytic" or (
             method == "auto" and spec.analytic_curvature_available
@@ -142,6 +155,11 @@ def curvature_double_integral(
             numerator = float(g0[:, 0] @ riemann[:, 0, 1, 1])
             k = numerator / float(g0[0, 0] * g0[1, 1] - g0[0, 1] ** 2)
         return sphere_measure(2) ** 2 * k
+    ii, jj = rule.pairs
+    if ii.size == 0:
+        raise AllPairsDegenerateError(
+            "every node pair rejected as numerically parallel"
+        )
     if method == "analytic":
         raise DegeneratePlaneError("no analytic curvature above dimension 2")
 
@@ -150,7 +168,6 @@ def curvature_double_integral(
     # and metric inner products of mapped nodes B n_i equal Euclidean inner
     # products of the raw nodes.
     basis = np.linalg.inv(np.linalg.cholesky(g0)).T
-    ii, jj = np.nonzero(mask)
     mapped = rule.nodes @ basis.T
     v = mapped[ii]
     w = mapped[jj]
@@ -183,7 +200,6 @@ def curvature_integral_gradient(
     q,
     rule: QuadratureRule,
     fd_step: float = 1e-3,
-    eps_parallel: float = 1e-8,
     *,
     method: str = "auto",
 ) -> Array:
@@ -196,7 +212,7 @@ def curvature_integral_gradient(
         offset[k] = fd_step
         c_plus, c_minus = (
             curvature_double_integral(
-                spec, closest_point(spec, x).u, rule, eps_parallel, method=method
+                spec, closest_point(spec, x).u, rule, method=method
             )
             for x in (q + offset, q - offset)
         )

@@ -2,10 +2,9 @@
 
 Each lattice point is an independent minimization of the three-term energy,
 seeded at the point itself; Armijo backtracking guarantees every accepted
-step strictly decreases the energy.  A batch builds one quadrature rule from
-the energy parameters (the rule that total_energy uses by default), so each
-point's result depends only on that point and the settings, never on its
-index or on the rest of the batch.
+step strictly decreases the energy.  The energy takes its one quadrature rule
+from the energy parameters, so each point's result depends only on that point
+and the settings, never on its index or on the rest of the batch.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from .energy import EnergyParams, el_residual, total_energy, total_gradient
 from .errors import LatticeEmbedError
 from .geometry import ManifoldSpec, closest_point
 from .lattice import EmbeddingEntry, EmbeddingMap, LatticeSpec, generate_lattice
-from .quadrature import QuadratureRule
 from .validation import check_points_array
 
 Array = np.ndarray
@@ -58,8 +56,6 @@ def descend_point(
     spec: ManifoldSpec,
     q0,
     config: SolverConfig,
-    *,
-    rule: QuadratureRule | None = None,
 ) -> tuple[Array, PointTrace]:
     """Armijo-backtracked gradient descent on the total energy from q0.
 
@@ -69,10 +65,10 @@ def descend_point(
     """
     q = np.asarray(q0, dtype=float).reshape(-1).copy()
     trace = PointTrace()
-    energy = total_energy(params, spec, q, rule=rule)
+    energy = total_energy(params, spec, q)
     trace.energies.append(energy)
     for _ in range(config.max_iters):
-        grad = total_gradient(params, spec, q, rule=rule)
+        grad = total_gradient(params, spec, q)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= config.grad_tol:
             break
@@ -80,7 +76,7 @@ def descend_point(
         accepted = False
         while step >= _MIN_STEP:
             candidate = q - step * grad
-            cand_energy = total_energy(params, spec, candidate, rule=rule)
+            cand_energy = total_energy(params, spec, candidate)
             if cand_energy <= energy - _ARMIJO_C * step * grad_norm**2:
                 q = candidate
                 energy = cand_energy
@@ -94,9 +90,7 @@ def descend_point(
             break
     trace.final_energy = energy
     # the residual is the gradient, so this norm certifies stationarity
-    trace.final_residual_norm = float(
-        np.linalg.norm(el_residual(params, spec, q, rule=rule))
-    )
+    trace.final_residual_norm = float(np.linalg.norm(el_residual(params, spec, q)))
     trace.converged = trace.final_residual_norm <= config.grad_tol
     return q, trace
 
@@ -113,12 +107,7 @@ class SolveReport:
     errors: list[str] = field(default_factory=list)
 
 
-def _batch_rule(params: EnergyParams, spec: ManifoldSpec) -> QuadratureRule | None:
-    # the default rule of total_energy, built once; no rule without curvature
-    return params.rule_for(spec) if params.gamma != 0.0 else None
-
-
-def _solve_one(params, spec, q, config, rule, index):
+def _solve_one(params, spec, q, config, index):
     support = 2.0 * params.tube_radius
     try:
         proj = closest_point(spec, q)
@@ -134,7 +123,7 @@ def _solve_one(params, spec, q, config, rule, index):
                 skipped=True,
             )
             return entry, None, None
-        image, trace = descend_point(params, spec, q, config, rule=rule)
+        image, trace = descend_point(params, spec, q, config)
     except LatticeEmbedError as exc:
         # per-point failures are reported, never abort the batch
         entry = EmbeddingEntry(
@@ -167,18 +156,17 @@ def embed_points(
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Run the per-point descent over an arbitrary batch of seed points.
 
-    The whole batch is validated before any point is solved, and every point
-    descends with the one quadrature rule params.rule_for(spec).  Points
+    The whole batch, and the quadrature rule params.rule_for(spec) when
+    gamma > 0, are checked before any point is solved.  Points
     farther than twice the tube radius from M are outside the activation
     support and are marked skipped.  Per-point solver errors never abort the
     batch; output order follows input order.
     """
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     start = time.perf_counter()
-    rule = _batch_rule(params, spec)
-    results = [
-        _solve_one(params, spec, q, config, rule, i) for i, q in enumerate(points)
-    ]
+    if params.gamma != 0.0:
+        params.rule_for(spec)  # a rule that cannot be built fails the batch
+    results = [_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
     entries = [entry for entry, _, _ in results]
     report = SolveReport()
     report.traces = [trace for _, trace, _ in results if trace is not None]
@@ -273,13 +261,10 @@ def verify_stationarity(
     passed = 0
     worst_norm = 0.0
     worst_index = None
-    rule = _batch_rule(params, spec)
     for index, entry in enumerate(emap.entries):
         if entry.skipped or not entry.converged:
             continue
-        norm = float(
-            np.linalg.norm(el_residual(params, spec, entry.image, rule=rule))
-        )
+        norm = float(np.linalg.norm(el_residual(params, spec, entry.image)))
         checked += 1
         if norm <= tol:
             passed += 1

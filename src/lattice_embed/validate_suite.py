@@ -178,17 +178,16 @@ def check_gradient_consistency() -> str:
         ManifoldSpec.sphere(1.0),
         ManifoldSpec.torus(2.0, 0.5),
     ):
-        rule = params.rule_for(spec)
         for _ in range(100):
             q = _tube_point(rng, spec, params, margin=(0.1, 0.95))
-            grad = total_gradient(params, spec, q, rule=rule)
+            grad = total_gradient(params, spec, q)
             fd = np.zeros_like(q)
             for k in range(q.shape[0]):
                 offset = np.zeros_like(q)
                 offset[k] = oracle_step
                 fd[k] = (
-                    total_energy(params, spec, q + offset, rule=rule)
-                    - total_energy(params, spec, q - offset, rule=rule)
+                    total_energy(params, spec, q + offset)
+                    - total_energy(params, spec, q - offset)
                 ) / (2.0 * oracle_step)
             tol = max(1e-4, 1e-3 * float(np.linalg.norm(fd)))
             gap = float(np.max(np.abs(grad - fd)))
@@ -403,14 +402,12 @@ def check_determinism() -> str:
     )
     config = SolverConfig()
     emap, _ = embed_lattice(params, spec, lattice, config)
-    # each entry is its lattice point solved alone with the run's one rule:
-    # no state crosses points
-    rule = params.rule_for(spec)
+    # each entry is its lattice point solved alone: no state crosses points
     points = generate_lattice(lattice)
     assert len(emap) == len(points) == 75, len(emap)
     for index, (q, entry) in enumerate(zip(points, emap.entries)):
         assert not entry.skipped, index
-        image, trace = descend_point(params, spec, q, config, rule=rule)
+        image, trace = descend_point(params, spec, q, config)
         assert image.tobytes() == entry.image.tobytes(), index
         assert trace.iterations == entry.iterations, index
     return (

@@ -135,6 +135,39 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["embed", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "manifold.kind = torus\nmanifold.r = 3\n",
+        "manifold.kind = parametric\nmanifold.chart = u1; u2; 0\n"
+        "manifold.bounds = 1:0, -1:1\n",
+        "manifold.kind = torus\nlattice.bounds = 0:1, 0:1\n",
+    ],
+    ids=["torus-r-above-R", "parametric-lower-above-upper", "lattice-axes"],
+)
+def test_bad_manifold_or_lattice_exit_code(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text + f"output.directory = {tmp_path / 'out'}\n")
+    assert cli.main(["embed", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    if "lattice.bounds" in text:
+        assert "lattice.bounds" in err
+
+
+def test_lattice_axes_checked_only_by_embed(tmp_path):
+    # curvature reads no lattice, so the default 3-axis bounds do not bind it
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "manifold.kind = parametric\n"
+        "manifold.chart = u1; u2; u3; u1*u2\n"
+        "manifold.bounds = -1:1, -1:1, -1:1\n"
+        f"output.directory = {out}\n",
+    )
+    assert cli.main(["curvature", cfg, "--grid", "2"]) == 0
+    assert cli.main(["embed", cfg]) == 2
+
+
 def test_unknown_key_exit_code(tmp_path):
     cfg = write_config(tmp_path, "manifold.kind = plane\nnot.a = key\n")
     assert cli.main(["embed", cfg]) == 2

@@ -47,10 +47,12 @@ def test_missing_required_kind():
 
 
 def test_unknown_key_named():
-    # fd_step is a removed key: configs that still set it must fail by name
+    # removed keys: configs that still set them must fail by name
     for line, key, section in (
         ("energy.alphaa = 1", "alphaa", "energy"),
         ("field.fd_step = 1e-4", "fd_step", "field"),
+        ("field.mu = 2", "mu", "field"),
+        ("quadrature.eps_parallel = 1e-6", "eps_parallel", "quadrature"),
     ):
         with pytest.raises(UnknownKeyError) as err:
             parse_config(f"manifold.kind = plane\n{line}\n")
@@ -127,6 +129,21 @@ def test_bad_parametric_chart_is_config_error():
     )
     with pytest.raises(ValidationError):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "manifold",
+    [
+        "manifold.kind = torus\nmanifold.r = 3\n",
+        "manifold.kind = parametric\nmanifold.chart = u1; u2; 0\n"
+        "manifold.bounds = 1:0, -1:1\n",
+    ],
+    ids=["torus-r-above-R", "parametric-lower-above-upper"],
+)
+def test_bad_manifold_values_are_config_errors(manifold):
+    with pytest.raises(ValidationError) as err:
+        parse_config(manifold)
+    assert str(err.value).startswith("manifold: ")
 
 
 def test_default_config_helper():

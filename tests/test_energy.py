@@ -153,7 +153,6 @@ def test_total_gradient_fd_in_decay_band():
     rng = np.random.default_rng(13)
     h = 5e-4
     for spec in (PLANE, SPHERE, TORUS):
-        rule = params.rule_for(spec)
         for _ in range(20):
             if spec.kind == "plane":
                 u = rng.uniform(-2, 2, size=2)
@@ -164,14 +163,14 @@ def test_total_gradient_fd_in_decay_band():
             frame = tangent_frame(spec, u)
             s = rng.uniform(1.1, 1.8) * (1 if rng.uniform() < 0.5 else -1)
             q = frame.point + s * params.tube_radius * frame.normal_basis[0]
-            grad = total_gradient(params, spec, q, rule=rule)
+            grad = total_gradient(params, spec, q)
             fd = np.zeros(3)
             for k in range(3):
                 dq = np.zeros(3)
                 dq[k] = h
                 fd[k] = (
-                    total_energy(params, spec, q + dq, rule=rule)
-                    - total_energy(params, spec, q - dq, rule=rule)
+                    total_energy(params, spec, q + dq)
+                    - total_energy(params, spec, q - dq)
                 ) / (2 * h)
             tol = max(1e-4, 1e-3 * float(np.linalg.norm(fd)))
             assert np.max(np.abs(grad - fd)) <= tol
@@ -182,12 +181,11 @@ def test_projection_counts(count_calls):
     # gradient's 2n central differences re-project
     calls = count_calls(geometry.closest_point)
     params = EnergyParams(gamma=0.02, lam=0.1, tube_radius=0.1)
-    rule = params.rule_for(TORUS)
     q = np.array([2.65, 0.0, 0.05])  # in the decay band: every term is live
-    assert total_energy(params, TORUS, q, rule=rule) > 0.0
+    assert total_energy(params, TORUS, q) > 0.0
     assert len(calls) == 1
     calls.clear()
-    assert np.linalg.norm(total_gradient(params, TORUS, q, rule=rule)) > 0.0
+    assert np.linalg.norm(total_gradient(params, TORUS, q)) > 0.0
     assert len(calls) == 1 + 2 * 3
 
 
@@ -197,13 +195,12 @@ def test_projection_counts(count_calls):
 def test_el_residual_identical_to_gradient():
     params = EnergyParams(alpha=1.1, beta=0.9, gamma=0.02, lam=0.3, tube_radius=0.1)
     rng = np.random.default_rng(17)
-    rule = params.rule_for(SPHERE)
     for _ in range(25):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         q = direction * rng.uniform(0.9, 1.1)
-        res = el_residual(params, SPHERE, q, rule=rule)
-        grad = total_gradient(params, SPHERE, q, rule=rule)
+        res = el_residual(params, SPHERE, q)
+        grad = total_gradient(params, SPHERE, q)
         assert np.array_equal(res, grad)
 
 

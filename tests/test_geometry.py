@@ -309,6 +309,36 @@ def test_periodic_chart_projection_crosses_both_seams(a, b, radius):
     assert np.linalg.norm(proj.point - closest_point(TORUS, q).point) < 1e-7
 
 
+# the chart-align workload's graph chart
+CHART_ALIGN = ManifoldSpec.parametric(
+    bounds=[(-1.0, 1.0), (-1.0, 1.0)],
+    expressions=["u1", "u2", "0.3*sin(2*u1)*cos(u2)"],
+)
+
+
+@pytest.mark.parametrize(
+    "spec, box, tol",
+    [
+        (SPHERE, [(0.05, math.pi - 0.05), (0.0, 2.0 * math.pi)], 1e-12),
+        (TORUS, [(0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)], 1e-12),
+        # above the ~1e-8 floor of the Gauss-Newton decrease test
+        (CHART_ALIGN, [(-0.8, 0.8), (-0.8, 0.8)], 1e-7),
+    ],
+    ids=["sphere", "torus", "chart-align"],
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(s1=st.floats(0.0, 1.0), s2=st.floats(0.0, 1.0), offset=st.floats(-1.0, 1.0))
+def test_projection_idempotent(spec, box, tol, s1, s2, offset):
+    # within 0.1 of M: clear of the sphere centre, the torus axis (>= 1.4
+    # away) and its core circle (>= 0.4 away), so the closest point is unique
+    u = np.array([lo + s * (hi - lo) for (lo, hi), s in zip(box, (s1, s2))])
+    frame = tangent_frame(spec, u)
+    q = frame.point + 0.1 * offset * frame.normal_basis[0]
+    point = closest_point(spec, q).point
+    again = closest_point(spec, point).point
+    assert np.linalg.norm(again - point) <= tol
+
+
 # --- curvature --------------------------------------------------------------
 
 

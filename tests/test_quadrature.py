@@ -8,8 +8,9 @@ from lattice_embed.errors import (
     BadResolutionError,
     DegeneratePlaneError,
 )
-from lattice_embed.geometry import ManifoldSpec
+from lattice_embed.geometry import ManifoldSpec, gaussian_curvature
 from lattice_embed.quadrature import (
+    QuadratureRule,
     build_quadrature,
     curvature_double_integral,
     curvature_integral_gradient,
@@ -24,6 +25,15 @@ TORUS = ManifoldSpec.torus(2.0, 0.5)
 GRAPH = ManifoldSpec.parametric(
     bounds=[(-1.0, 1.0), (-1.0, 1.0)],
     expressions=["u1", "u2", "0.3*sin(2*u1)*cos(u2)"],
+)
+SPHERE3 = ManifoldSpec.parametric(
+    bounds=[(0.3, 2.8), (0.3, 2.8), (0.0, 6.0)],
+    expressions=[
+        "cos(u1)",
+        "sin(u1)*cos(u2)",
+        "sin(u1)*sin(u2)*cos(u3)",
+        "sin(u1)*sin(u2)*sin(u3)",
+    ],
 )
 
 
@@ -45,6 +55,18 @@ def test_monte_carlo_rule_deterministic_and_unit():
     assert float(np.sum(a.weights)) == pytest.approx(4 * math.pi, abs=1e-9)
     c = build_quadrature(3, 1000, seed=8)
     assert not np.array_equal(a.nodes, c.nodes)
+
+
+def test_rule_memoized_and_read_only():
+    a = build_quadrature(3, 64, seed=5)
+    assert build_quadrature(3, 64, 5) is a
+    assert build_quadrature(2, 64) is build_quadrature(2, 64, seed=0)
+    assert build_quadrature(3, 64, seed=6) is not a
+    for rule in (a, build_quadrature(2, 64)):
+        for array in (rule.nodes, rule.weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 def test_bad_resolution_rejected():
@@ -109,21 +131,30 @@ def test_integral_graph_chart_is_gaussian_curvature():
 
 def test_integral_unit_three_sphere():
     # every sectional curvature of the unit 3-sphere is 1, so C = |S^2|^2
-    spec = ManifoldSpec.parametric(
-        bounds=[(0.3, 2.8), (0.3, 2.8), (0.0, 6.0)],
-        expressions=[
-            "cos(u1)",
-            "sin(u1)*cos(u2)",
-            "sin(u1)*sin(u2)*cos(u3)",
-            "sin(u1)*sin(u2)*sin(u3)",
-        ],
-    )
     rule = build_quadrature(3, 64)
-    value = curvature_double_integral(spec, [1.1, 1.3, 2.0], rule)
+    value = curvature_double_integral(SPHERE3, [1.1, 1.3, 2.0], rule)
     expected = sphere_measure(3) ** 2
     assert abs(value - expected) <= 1e-3 * expected
     with pytest.raises(DegeneratePlaneError):
-        curvature_double_integral(spec, [1.1, 1.3, 2.0], rule, method="analytic")
+        curvature_double_integral(SPHERE3, [1.1, 1.3, 2.0], rule, method="analytic")
+
+
+def test_three_sphere_pairs_filtered_once_same_values():
+    # reference values from the per-call pair mask the rule's pair filter
+    # replaced: equal and unequal weights, at two points sharing one filter
+    rule = build_quadrature(3, 64)
+    first = curvature_double_integral(SPHERE3, [1.1, 1.3, 2.0], rule)
+    pairs = rule.pairs
+    second = curvature_double_integral(SPHERE3, [2.0, 1.7, 4.5], rule)
+    assert rule.pairs is pairs
+    assert first == float.fromhex("0x1.3bd3cc0361e4dp+7")
+    assert second == float.fromhex("0x1.3bd3cc1a1b8cap+7")
+    base = build_quadrature(3, 16, seed=2)
+    weights = np.arange(1.0, 17.0)
+    weights *= sphere_measure(3) / weights.sum()
+    weighted = QuadratureRule(3, base.nodes, weights, seed=2, resolution=16)
+    value = curvature_double_integral(SPHERE3, [1.1, 1.3, 2.0], weighted)
+    assert value == float.fromhex("0x1.3bd3cc192be00p+7")
 
 
 def test_integral_convergence_monotone():
@@ -155,10 +186,25 @@ def test_retained_weight_rescaling():
     assert value == pytest.approx(TWO_PI_SQ, abs=1e-9)
 
 
+def _parallel_rule(d):
+    # every node is +-e1: no pair spans a plane
+    nodes = np.zeros((4, d))
+    nodes[:, 0] = [1.0, -1.0, 1.0, -1.0]
+    weights = np.full(4, sphere_measure(d) / 4)
+    return QuadratureRule(d, nodes, weights, seed=0, resolution=4)
+
+
 def test_all_pairs_degenerate():
-    rule = build_quadrature(2, 8)
     with pytest.raises(AllPairsDegenerateError):
-        curvature_double_integral(SPHERE, [1.2, 0.7], rule, eps_parallel=1.5)
+        curvature_double_integral(SPHERE3, [1.1, 1.3, 2.0], _parallel_rule(3))
+
+
+def test_surface_integral_reads_no_node():
+    # for d = 2 the rule contributes only its dimension
+    rule = _parallel_rule(2)
+    assert curvature_double_integral(SPHERE, [1.2, 0.7], rule) == TWO_PI_SQ
+    expected = TWO_PI_SQ * gaussian_curvature(TORUS, [1.0, 2.0])
+    assert curvature_double_integral(TORUS, [1.0, 2.0], rule) == expected
 
 
 def test_dimension_mismatch_rejected():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lattice_embed.energy import EnergyParams, total_energy
+from lattice_embed.errors import BadResolutionError
 from lattice_embed.geometry import ManifoldSpec, closest_point
 from lattice_embed.lattice import EmbeddingMap, LatticeSpec, generate_lattice
 from lattice_embed.solver import (
@@ -111,6 +112,11 @@ def test_embed_points_rejects_bad_rows_before_solving(count_calls):
     with pytest.raises(ValueError, match="points has 2 features, expected 3"):
         embed_points(PROJECTION_PARAMS, PLANE, points[:2, :2], SolverConfig())
     assert solved == []
+    # a curvature rule that cannot be built fails the batch, not each point
+    params = EnergyParams(gamma=0.02, tube_radius=0.1, quadrature_resolution=3)
+    with pytest.raises(BadResolutionError):
+        embed_points(params, PLANE, points[:2], SolverConfig())
+    assert solved == []
 
 
 def test_embed_aggregates_per_point_errors():
@@ -191,8 +197,8 @@ def test_sphere_pole_with_curvature_term_converges():
 
 def test_embed_uses_one_quadrature_rule_per_run():
     # unit 3-sphere: d = 3 takes seeded Monte Carlo rules, so a per-point
-    # rule would give every index but one an energy that total_energy,
-    # with its default rule, does not reproduce
+    # rule would give every index but one an energy that total_energy, with
+    # params.rule_for, does not reproduce
     spec = ManifoldSpec.parametric(
         bounds=[(0.3, 2.8), (0.3, 2.8), (0.0, 6.0)],
         expressions=[
