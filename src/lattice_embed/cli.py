@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -127,6 +128,8 @@ def run_embed(config: RunConfig) -> int:
 
 
 def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
+    if grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {grid}")
     spec = config.manifold()
     rule = config.energy_params().rule_for(spec)
     # cell centers keep the stencil inside the box and off chart degeneracies
@@ -153,14 +156,26 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     return 0
 
 
-def _read_points(path: Path) -> np.ndarray:
+def _read_points(path: Path, width: int) -> np.ndarray:
+    """Probe points, one per line of `width` finite numbers separated by
+    commas or blanks; '#' starts a comment."""
     rows = []
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.replace(",", " ").split()
-        rows.append([float(p) for p in parts])
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            row = [math.nan]  # a non-numeric field: reported just below
+        if not all(map(math.isfinite, row)):
+            raise LatticeEmbedError(f"{path} line {lineno}: not a finite number")
+        if len(row) != width:
+            raise LatticeEmbedError(
+                f"{path} line {lineno}: {len(row)} values, expected {width}"
+            )
+        rows.append(row)
     if not rows:
         raise LatticeEmbedError(f"no probe points found in {path}")
     return np.asarray(rows, dtype=float)
@@ -170,7 +185,9 @@ def run_energy(config: RunConfig, points_file: str) -> int:
     spec = config.manifold()
     params = config.energy_params()
     points = check_points_array(
-        _read_points(Path(points_file)), expected_dim=spec.ambient_dim
+        _read_points(Path(points_file), spec.ambient_dim),
+        expected_dim=spec.ambient_dim,
+        name="points",
     )
     rows = []
     for q in points:

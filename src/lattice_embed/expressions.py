@@ -1,337 +1,198 @@
 """Tiny expression language for user-supplied parametric charts.
 
 Grammar: ``+ - * / ^`` with usual precedence, parentheses, the functions
-``sin``, ``cos``, ``exp``, numeric literals, the constant ``pi``, and the
-chart variables ``u1 .. ud``.  Expressions evaluate vectorized over numpy
-arrays and differentiate symbolically, which gives parametric charts an
-analytic Jacobian without pulling in a CAS.
+``sin``, ``cos``, ``exp`` of one argument, decimal literals as Python reads
+them (so ``007`` is an error), the constant ``pi``, and the chart variables
+``u1 .. ud``.  Exponents must be numeric literals under optional signs, as
+in ``u1^2``, ``u1^-0.5`` or ``u1^(2)`` (polynomial/trigonometric charts
+only); that keeps differentiation closed under the grammar.
 
-Exponents must be numeric constants (polynomial/trigonometric charts only);
-that keeps differentiation closed under the grammar.
+Python's own parser reads the text, with ``^`` as ``**``.  A whitelist pass
+then rebuilds every node of the grammar from scratch and rejects anything
+else with `ExpressionError`.  `derivative` differentiates the rebuilt trees
+symbolically, which gives parametric charts an analytic Jacobian without
+pulling in a CAS.  `compile_chart` compiles the chart and its Jacobian once
+each; they evaluate vectorized over numpy arrays with no builtins, only
+numpy's ``sin``, ``cos`` and ``exp`` in scope.
 """
 from __future__ import annotations
 
+import ast
 import math
-import re
-from typing import Callable
+import string
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ExpressionError
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_SIGNS = (ast.UAdd, ast.USub)
+# Every character an expression may hold once its whitespace is collapsed.
+# Python's parser would also read comments, strings, keyword arguments and
+# NFKC-normalized non-ASCII names.
+_ALPHABET = frozenset(string.ascii_letters + string.digits + " .+-*/^()")
 
 
-class Expr:
-    def evaluate(self, env):
-        raise NotImplementedError
-
-    def derivative(self, name: str) -> "Expr":
-        raise NotImplementedError
+def _const(value: float) -> ast.Constant:
+    return ast.Constant(float(value))
 
 
-class Const(Expr):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def evaluate(self, env):
-        return self.value
-
-    def derivative(self, name):
-        return Const(0.0)
-
-    def __repr__(self):
-        return repr(self.value)
+def _is_const(e: ast.expr, value: float | None = None) -> bool:
+    return isinstance(e, ast.Constant) and (value is None or e.value == value)
 
 
-class Var(Expr):
-    def __init__(self, name: str):
-        self.name = name
-
-    def evaluate(self, env):
-        return env[self.name]
-
-    def derivative(self, name):
-        return Const(1.0 if name == self.name else 0.0)
-
-    def __repr__(self):
-        return self.name
+def _binary(a: ast.expr, op: type, b: ast.expr) -> ast.BinOp:
+    return ast.BinOp(a, op(), b)
 
 
-class Call(Expr):
-    def __init__(self, fname: str, arg: Expr):
-        self.fname = fname
-        self.arg = arg
-
-    def evaluate(self, env):
-        return _FUNCTIONS[self.fname](self.arg.evaluate(env))
-
-    def derivative(self, name):
-        inner = self.arg.derivative(name)
-        if self.fname == "sin":
-            outer: Expr = Call("cos", self.arg)
-        elif self.fname == "cos":
-            outer = _neg(Call("sin", self.arg))
-        else:  # exp
-            outer = Call("exp", self.arg)
-        return _mul(outer, inner)
-
-    def __repr__(self):
-        return f"{self.fname}({self.arg!r})"
-
-
-class Binary(Expr):
-    op = "?"
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def __repr__(self):
-        return f"({self.left!r} {self.op} {self.right!r})"
-
-
-class Add(Binary):
-    op = "+"
-
-    def evaluate(self, env):
-        return self.left.evaluate(env) + self.right.evaluate(env)
-
-    def derivative(self, name):
-        return _add(self.left.derivative(name), self.right.derivative(name))
-
-
-class Sub(Binary):
-    op = "-"
-
-    def evaluate(self, env):
-        return self.left.evaluate(env) - self.right.evaluate(env)
-
-    def derivative(self, name):
-        return _sub(self.left.derivative(name), self.right.derivative(name))
-
-
-class Mul(Binary):
-    op = "*"
-
-    def evaluate(self, env):
-        return self.left.evaluate(env) * self.right.evaluate(env)
-
-    def derivative(self, name):
-        return _add(
-            _mul(self.left.derivative(name), self.right),
-            _mul(self.left, self.right.derivative(name)),
-        )
-
-
-class Div(Binary):
-    op = "/"
-
-    def evaluate(self, env):
-        return self.left.evaluate(env) / self.right.evaluate(env)
-
-    def derivative(self, name):
-        num = _sub(
-            _mul(self.left.derivative(name), self.right),
-            _mul(self.left, self.right.derivative(name)),
-        )
-        return Div(num, Mul(self.right, self.right))
-
-
-class Pow(Expr):
-    def __init__(self, base: Expr, exponent: float):
-        self.base = base
-        self.exponent = float(exponent)
-
-    def evaluate(self, env):
-        return self.base.evaluate(env) ** self.exponent
-
-    def derivative(self, name):
-        e = self.exponent
-        if e == 0.0:
-            return Const(0.0)
-        return _mul(
-            _mul(Const(e), Pow(self.base, e - 1.0)), self.base.derivative(name)
-        )
-
-    def __repr__(self):
-        return f"({self.base!r} ^ {self.exponent!r})"
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1.0
+def _call(fname: str, arg: ast.expr) -> ast.Call:
+    return ast.Call(ast.Name(fname, ast.Load()), [arg], [])
 
 
 def _add(a, b):
-    if _is_zero(a):
+    if _is_const(a, 0.0):
         return b
-    if _is_zero(b):
+    if _is_const(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
+    if _is_const(a) and _is_const(b):
+        return _const(a.value + b.value)
+    return _binary(a, ast.Add, b)
 
 
 def _sub(a, b):
-    if _is_zero(b):
+    if _is_const(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    return Sub(a, b)
+    if _is_const(a) and _is_const(b):
+        return _const(a.value - b.value)
+    return _binary(a, ast.Sub, b)
 
 
 def _mul(a, b):
-    if _is_zero(a) or _is_zero(b):
-        return Const(0.0)
-    if _is_one(a):
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return _const(0.0)
+    if _is_const(a, 1.0):
         return b
-    if _is_one(b):
+    if _is_const(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
+    if _is_const(a) and _is_const(b):
+        return _const(a.value * b.value)
+    return _binary(a, ast.Mult, b)
 
 
 def _neg(a):
-    if isinstance(a, Const):
-        return Const(-a.value)
-    return _sub(Const(0.0), a)
+    # 0.0 - a, not a unary minus, so the sign of a zero result is that of
+    # the subtraction
+    if _is_const(a):
+        return _const(-a.value)
+    return _sub(_const(0.0), a)
 
 
-class _Parser:
-    def __init__(self, text: str, variables: set[str]):
-        self.text = text
-        self.variables = variables
-        self.tokens = self._tokenize(text)
-        self.pos = 0
-
-    @staticmethod
-    def _tokenize(text):
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
-                raise ExpressionError(
-                    f"unexpected character {text[pos]!r} in expression {text!r}"
-                )
-            if m.group("num") is not None:
-                tokens.append(("num", float(m.group(0))))
-            elif m.group("name") is not None:
-                tokens.append(("name", m.group("name")))
-            else:
-                tokens.append(("op", m.group("op")))
-            pos = m.end()
-        return tokens
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def _expect(self, op):
-        kind, val = self._next()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self) -> Expr:
-        expr = self._expr()
-        if self.pos != len(self.tokens):
-            raise ExpressionError(f"trailing tokens in expression {self.text!r}")
-        return expr
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            _, op = self._next()
-            rhs = self._term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def _term(self):
-        node = self._unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            _, op = self._next()
-            rhs = self._unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def _unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return _neg(self._unary())
-        if self._peek() == ("op", "+"):
-            self._next()
-            return self._unary()
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            exponent = self._constant_exponent()
-            return Pow(base, exponent)
-        return base
-
-    def _constant_exponent(self) -> float:
-        # sign then literal; symbolic exponents are out of the grammar
-        sign = 1.0
-        while self._peek() in (("op", "-"), ("op", "+")):
-            _, op = self._next()
-            if op == "-":
-                sign = -sign
-        kind, val = self._next()
-        if kind != "num":
-            raise ExpressionError(
-                f"exponent must be a numeric constant in {self.text!r}"
-            )
-        return sign * val
-
-    def _atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self._expect("(")
-                arg = self._expr()
-                self._expect(")")
-                return Call(val, arg)
-            if val == "pi":
-                return Const(math.pi)
-            if val in self.variables:
-                return Var(val)
-            raise ExpressionError(f"unknown identifier {val!r} in {self.text!r}")
-        if (kind, val) == ("op", "("):
-            node = self._expr()
-            self._expect(")")
-            return node
-        raise ExpressionError(f"malformed expression {self.text!r}")
-
-
-def parse_expression(text: str, intrinsic_dim: int) -> Expr:
-    """Parse one chart component over variables u1..u<d>."""
+def parse_expression(text: str, intrinsic_dim: int) -> ast.expr:
+    """Parse one chart component over variables u1..u<d> into a rebuilt
+    tree of float constants, variables, ``+ - * /``, powers with a constant
+    exponent and ``sin``/``cos``/``exp`` calls."""
+    source = " ".join(text.split())
+    if not set(source) <= _ALPHABET or "**" in source:
+        raise ExpressionError(f"unexpected character in expression {text!r}")
+    source = source.replace("^", "**")
+    try:
+        body = ast.parse(source, mode="eval").body
+    except (SyntaxError, ValueError):
+        raise ExpressionError(f"malformed expression {text!r}") from None
     variables = {f"u{k + 1}" for k in range(intrinsic_dim)}
-    return _Parser(text, variables).parse()
+
+    def literal(node):
+        # float() of the literal as written: hex, octal, binary, complex,
+        # True/False/None and Ellipsis literals all fail here
+        try:
+            return float(ast.get_source_segment(source, node))
+        except ValueError:
+            raise ExpressionError(f"malformed number in {text!r}") from None
+
+    def rebuild(node):
+        if isinstance(node, ast.Constant):
+            return _const(literal(node))
+        if isinstance(node, ast.Name):
+            if node.id == "pi":
+                return _const(math.pi)
+            if node.id in variables:
+                return ast.Name(node.id, ast.Load())
+            raise ExpressionError(f"unknown identifier {node.id!r} in {text!r}")
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+            operand = rebuild(node.operand)
+            return _neg(operand) if isinstance(node.op, ast.USub) else operand
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            sign, e = 1.0, node.right  # a literal under any run of signs
+            while isinstance(e, ast.UnaryOp) and isinstance(e.op, _SIGNS):
+                sign = -sign if isinstance(e.op, ast.USub) else sign
+                e = e.operand
+            if not isinstance(e, ast.Constant):
+                raise ExpressionError(f"exponent must be a number in {text!r}")
+            return _binary(rebuild(node.left), ast.Pow, _const(sign * literal(e)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINARY):
+            return _binary(rebuild(node.left), type(node.op), rebuild(node.right))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS
+            # a parenthesised function name, as in (sin)(u1), starts later
+            and node.func.col_offset == node.col_offset
+            and len(node.args) == 1
+            and not node.keywords
+        ):
+            return _call(node.func.id, rebuild(node.args[0]))
+        raise ExpressionError(f"unsupported syntax in expression {text!r}")
+
+    return rebuild(body)
+
+
+def derivative(node: ast.expr, name: str) -> ast.expr:
+    """Partial derivative of a `parse_expression` tree by variable `name`."""
+    if isinstance(node, ast.Constant):
+        return _const(0.0)
+    if isinstance(node, ast.Name):
+        return _const(1.0 if node.id == name else 0.0)
+    if isinstance(node, ast.Call):
+        arg = node.args[0]
+        if node.func.id == "sin":
+            outer = _call("cos", arg)
+        elif node.func.id == "cos":
+            outer = _neg(_call("sin", arg))
+        else:  # exp
+            outer = node
+        return _mul(outer, derivative(arg, name))
+    a, b = node.left, node.right
+    if isinstance(node.op, ast.Pow):
+        e = b.value
+        if e == 0.0:
+            return _const(0.0)
+        power = _binary(a, ast.Pow, _const(e - 1.0))
+        return _mul(_mul(_const(e), power), derivative(a, name))
+    da, db = derivative(a, name), derivative(b, name)
+    if isinstance(node.op, ast.Add):
+        return _add(da, db)
+    if isinstance(node.op, ast.Sub):
+        return _sub(da, db)
+    if isinstance(node.op, ast.Mult):
+        return _add(_mul(da, b), _mul(a, db))
+    # quotient rule over an unfolded b*b
+    numerator = _sub(_mul(da, b), _mul(a, db))
+    return _binary(numerator, ast.Div, _binary(b, ast.Mult, b))
+
+
+def _compile(trees: list[ast.expr], names: list[str]) -> Callable:
+    # lambda u1, ..., ud: (tree_1, ..., tree_m), built from rebuilt trees only
+    params = [ast.arg(name) for name in names]
+    args = ast.arguments([], params, None, [], [], None, [])
+    body = ast.Lambda(args, ast.Tuple(trees, ast.Load()))
+    code = compile(ast.fix_missing_locations(ast.Expression(body)), "<chart>", "eval")
+    return eval(code, {"__builtins__": {}, **_FUNCTIONS})
 
 
 def compile_chart(
-    expressions: list[str], intrinsic_dim: int
+    expressions: Sequence[str], intrinsic_dim: int
 ) -> tuple[Callable, Callable]:
     """Build vectorized chart and analytic Jacobian callables.
 
@@ -340,19 +201,19 @@ def compile_chart(
     """
     trees = [parse_expression(text, intrinsic_dim) for text in expressions]
     names = [f"u{k + 1}" for k in range(intrinsic_dim)]
-    partials = [[t.derivative(name) for name in names] for t in trees]
+    values = _compile(trees, names)
+    partials = _compile([derivative(t, name) for t in trees for name in names], names)
+    shape = (len(trees), intrinsic_dim)
 
     def chart(u):
         u = np.asarray(u, dtype=float)
-        env = {name: u[..., k] for k, name in enumerate(names)}
         base = np.zeros(u.shape[:-1])
-        out = [np.asarray(t.evaluate(env), dtype=float) + base for t in trees]
-        return np.stack(out, axis=-1)
+        out = values(*(u[..., k] for k in range(intrinsic_dim)))
+        return np.stack([np.asarray(v, dtype=float) + base for v in out], axis=-1)
 
     def jacobian(u):
         u = np.asarray(u, dtype=float)
-        env = {name: u[..., k] for k, name in enumerate(names)}
-        rows = [[float(p.evaluate(env)) for p in row] for row in partials]
-        return np.array(rows, dtype=float)
+        out = partials(*(u[..., k] for k in range(intrinsic_dim)))
+        return np.array([float(v) for v in out], dtype=float).reshape(shape)
 
     return chart, jacobian

@@ -40,6 +40,8 @@ _GN_STEP_TOL = 1e-12
 # Two tangent directions count as parallel when the normalized Gram
 # determinant 1 - cos^2 of their angle is at or below this.
 PARALLEL_TOL = 1e-8
+# Manifold kinds with closed-form Gaussian curvature (see gaussian_curvature).
+ANALYTIC_KINDS = ("plane", "sphere", "torus")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +54,6 @@ class ManifoldSpec:
     chart_fn: Callable[[Array], Array]
     jacobian_fn: Callable[[Array], Array]  # u -> (n, d) chart partials
     param_bounds: Array  # (d, 2) rows of (lower, upper)
-    analytic_curvature_available: bool = False
     periodic: tuple[bool, ...] = ()
     params: dict = field(default_factory=dict)
 
@@ -111,7 +112,6 @@ class ManifoldSpec:
             intrinsic_dim=2,
             chart_fn=_plane_chart,
             param_bounds=np.asarray(bounds, dtype=float),
-            analytic_curvature_available=True,
             jacobian_fn=lambda u: np.array(
                 [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
             ),
@@ -154,7 +154,6 @@ class ManifoldSpec:
             intrinsic_dim=2,
             chart_fn=chart,
             param_bounds=np.array([[0.0, math.pi], [0.0, 2.0 * math.pi]]),
-            analytic_curvature_available=True,
             periodic=(False, True),
             jacobian_fn=jacobian,
             params={"radius": r},
@@ -198,7 +197,6 @@ class ManifoldSpec:
             param_bounds=np.array(
                 [[0.0, 2.0 * math.pi], [0.0, 2.0 * math.pi]]
             ),
-            analytic_curvature_available=True,
             periodic=(True, True),
             jacobian_fn=jacobian,
             params={"major_radius": big, "minor_radius": small},
@@ -222,7 +220,6 @@ class ManifoldSpec:
             intrinsic_dim=d,
             chart_fn=chart,
             param_bounds=bounds,
-            analytic_curvature_available=False,
             periodic=tuple(periodic) if periodic is not None else (),
             jacobian_fn=jacobian,
         )
@@ -673,7 +670,7 @@ def sectional_curvature(
     """Sectional curvature K(v, w) = <R(v,w)w, v> / (<v,v><w,w> - <v,w>^2)
     in the pullback metric, for chart-coordinate tangent vectors v, w.
 
-    method "auto" uses the closed form when the spec advertises one and the
+    method "auto" uses the closed form for the ANALYTIC_KINDS and the
     finite-difference pipeline otherwise; "fd" forces the pipeline.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -684,7 +681,7 @@ def sectional_curvature(
     if method not in ("auto", "fd", "analytic"):
         raise ValueError(f"unknown curvature method {method!r}")
     if method == "analytic" or (
-        method == "auto" and spec.analytic_curvature_available
+        method == "auto" and spec.kind in ANALYTIC_KINDS
     ):
         return gaussian_curvature(spec, u)
     g0, _, riemann = curvature_tensor(spec, u)

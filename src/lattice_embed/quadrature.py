@@ -23,6 +23,7 @@ from .errors import (
     DegeneratePlaneError,
 )
 from .geometry import (
+    ANALYTIC_KINDS,
     PARALLEL_TOL,
     ManifoldSpec,
     closest_point,
@@ -129,8 +130,8 @@ def curvature_double_integral(
 
     For surfaces every non-parallel pair spans the whole tangent plane, so
     the integral is sphere_measure(2)**2 times the Gaussian curvature, and
-    the rule contributes only its dimension: the closed form when the spec
-    has one (method "auto") or is asked for ("analytic"), otherwise
+    the rule contributes only its dimension: the closed form for the
+    ANALYTIC_KINDS (method "auto") or when asked for ("analytic"), otherwise
     <R(e1, e2)e2, e1> / det g from one finite-difference Riemann tensor.
     Above d = 2 the rule's retained pairs (rule.pairs) are mapped through a
     metric-orthonormal basis of the tangent space, each pair's curvature is
@@ -147,7 +148,7 @@ def curvature_double_integral(
         raise ValueError(f"unknown curvature method {method!r}")
     if spec.intrinsic_dim == 2:
         if method == "analytic" or (
-            method == "auto" and spec.analytic_curvature_available
+            method == "auto" and spec.kind in ANALYTIC_KINDS
         ):
             k = gaussian_curvature(spec, u)
         else:

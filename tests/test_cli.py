@@ -117,6 +117,37 @@ def test_energy_probe_command(tmp_path):
     assert second[3] == 0.0
 
 
+@pytest.mark.parametrize(
+    "probe, reason",
+    [
+        ("1.0 2.0 3.0\n2.5 0\n", "2 values, expected 3"),
+        ("1.0 2.0 3.0\n2.5 0 abc\n", "not a finite number"),
+        ("1.0 2.0 3.0\n2.5 0 0.1 4\n", "4 values, expected 3"),
+        ("1.0 2.0 3.0\n2.5 0 nan\n", "not a finite number"),
+    ],
+    ids=["too-few-columns", "non-numeric", "ragged-rows", "non-finite"],
+)
+def test_energy_bad_points_file_reports_line(tmp_path, capsys, probe, reason):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"manifold.kind = plane\noutput.directory = {out}\n")
+    probes = tmp_path / "probes.csv"
+    probes.write_text("# probe points\n" + probe)
+    assert cli.main(["energy", cfg, "--points", str(probes)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {probes} line 3: {reason}\n"
+    assert not (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_curvature_rejects_grid_below_one(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"manifold.kind = sphere\noutput.directory = {out}\n")
+    assert cli.main(["curvature", cfg, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --grid") and "Traceback" not in err
+    assert not (out / "curvature.csv").exists()
+
+
 def test_validate_command_passes():
     assert cli.main(["validate"]) == 0
 
