@@ -62,61 +62,58 @@ def run_embed(config: RunConfig) -> int:
     emap, report = embed_lattice(params, spec, lattice, config.solver())
     digest = config.digest()
     out = _out_dir(config)
-    formats = config.get("output", "formats")
     n = spec.ambient_dim
 
-    if "csv" in formats:
-        columns = (
-            [f"q{k + 1}" for k in range(n)]
-            + [f"zeta{k + 1}" for k in range(n)]
-            + ["residual_norm", "energy", "iterations", "converged"]
-        )
-        rows = [
-            list(entry.point)
-            + list(entry.image)
-            + [
-                float(entry.residual_norm),
-                float(entry.energy),
-                entry.iterations,
-                bool(entry.converged),
-            ]
-            for entry in emap.entries
+    columns = (
+        [f"q{k + 1}" for k in range(n)]
+        + [f"zeta{k + 1}" for k in range(n)]
+        + ["residual_norm", "energy", "iterations", "converged"]
+    )
+    rows = [
+        list(entry.point)
+        + list(entry.image)
+        + [
+            float(entry.residual_norm),
+            float(entry.energy),
+            entry.iterations,
+            bool(entry.converged),
         ]
-        _write_rows(out / "points.csv", digest, columns, rows)
+        for entry in emap.entries
+    ]
+    _write_rows(out / "points.csv", digest, columns, rows)
 
-    if "jsonl" in formats:
-        lines = [
+    lines = [
+        json.dumps(
+            {
+                "record": "summary",
+                "config_digest": digest,
+                "attempted": report.attempted,
+                "skipped": report.skipped,
+                "converged": report.converged_count,
+                "fraction_converged": report.fraction_converged,
+                "max_residual": report.max_residual,
+            },
+            sort_keys=True,
+        )
+    ]
+    for index, entry in enumerate(emap.entries):
+        lines.append(
             json.dumps(
                 {
-                    "record": "summary",
-                    "config_digest": digest,
-                    "attempted": report.attempted,
-                    "skipped": report.skipped,
-                    "converged": report.converged_count,
-                    "fraction_converged": report.fraction_converged,
-                    "max_residual": report.max_residual,
+                    "record": "point",
+                    "index": index,
+                    "skipped": bool(entry.skipped),
+                    "converged": bool(entry.converged),
+                    "iterations": entry.iterations,
+                    "residual_norm": None
+                    if entry.skipped
+                    else float(entry.residual_norm),
+                    "energy": None if entry.skipped else float(entry.energy),
                 },
                 sort_keys=True,
             )
-        ]
-        for index, entry in enumerate(emap.entries):
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "point",
-                        "index": index,
-                        "skipped": bool(entry.skipped),
-                        "converged": bool(entry.converged),
-                        "iterations": entry.iterations,
-                        "residual_norm": None
-                        if entry.skipped
-                        else float(entry.residual_norm),
-                        "energy": None if entry.skipped else float(entry.energy),
-                    },
-                    sort_keys=True,
-                )
-            )
-        (out / "report.jsonl").write_text("\n".join(lines) + "\n")
+        )
+    (out / "report.jsonl").write_text("\n".join(lines) + "\n")
 
     print(
         f"embed: {report.attempted} attempted, {report.skipped} skipped, "

@@ -45,14 +45,6 @@ def _format_bounds(bounds) -> str:
     return ", ".join(f"{lo:g}:{hi:g}" for lo, hi in bounds)
 
 
-def _parse_formats(text: str) -> tuple:
-    items = tuple(s.strip() for s in text.split(",") if s.strip())
-    for item in items:
-        if item not in ("csv", "jsonl"):
-            raise ValueError(f"unknown output format {item!r}")
-    return items
-
-
 # key -> (parser, default, serializer); defaults of None mean "resolved later"
 _SCHEMA: dict[str, dict] = {
     "manifold": {
@@ -80,14 +72,19 @@ _SCHEMA: dict[str, dict] = {
         "seed": (int, 0, repr),
     },
     "solver": {
-        "step": (float, 0.1, repr),
         "max_iters": (int, 500, repr),
         "grad_tol": (float, 1e-6, repr),
     },
     "output": {
         "directory": (str, "out", str),
-        "formats": (_parse_formats, ("csv", "jsonl"), ", ".join),
     },
+}
+# constructor argument of each radius key, per built-in kind; a key a
+# configuration leaves unset takes the constructor's default
+_RADII = {
+    "plane": {},
+    "sphere": {"r": "radius"},
+    "torus": {"R": "major_radius", "r": "minor_radius"},
 }
 
 
@@ -105,16 +102,6 @@ class RunConfig:
     def manifold(self) -> ManifoldSpec:
         m = self.sections["manifold"]
         kind = m["kind"]
-        if kind == "sphere":
-            return make_manifold("sphere", radius=m["r"] if m["r"] else 1.0)
-        if kind == "torus":
-            return make_manifold(
-                "torus",
-                major_radius=m["R"] if m["R"] else 2.0,
-                minor_radius=m["r"] if m["r"] else 0.5,
-            )
-        if kind == "plane":
-            return make_manifold("plane")
         if kind == "parametric":
             if not m["chart"] or m["bounds"] is None:
                 raise MissingRequiredError(
@@ -124,7 +111,12 @@ class RunConfig:
             return make_manifold(
                 "parametric", expressions=expressions, bounds=m["bounds"]
             )
-        raise ValidationError(f"manifold.kind: unknown kind {kind!r}")
+        if kind not in _RADII:
+            raise ValidationError(f"manifold.kind: unknown kind {kind!r}")
+        radii = {
+            arg: m[key] for key, arg in _RADII[kind].items() if m[key] is not None
+        }
+        return make_manifold(kind, **radii)
 
     def energy_params(self) -> EnergyParams:
         e, f, quad = (
@@ -148,11 +140,7 @@ class RunConfig:
 
     def solver(self) -> SolverConfig:
         s = self.sections["solver"]
-        return SolverConfig(
-            initial_step=s["step"],
-            max_iters=s["max_iters"],
-            grad_tol=s["grad_tol"],
-        )
+        return SolverConfig(max_iters=s["max_iters"], grad_tol=s["grad_tol"])
 
     # -- canonical text form ----------------------------------------------
 
@@ -194,7 +182,6 @@ def _validate(config: RunConfig) -> None:
         "needs lower <= upper per axis",
     )
     s = config.sections["solver"]
-    require("solver", "step", s["step"] > 0.0, "must be positive")
     require("solver", "max_iters", s["max_iters"] >= 1, "must be at least 1")
     require("solver", "grad_tol", s["grad_tol"] > 0.0, "must be positive")
     m = config.sections["manifold"]

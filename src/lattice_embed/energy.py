@@ -51,11 +51,12 @@ class EnergyParams:
     quadrature_seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        # negated comparisons, so that NaN fails them
+        if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be positive")
-        if self.gamma < 0.0 or self.lam < 0.0:
+        if not (self.gamma >= 0.0 and self.lam >= 0.0):
             raise ValueError("gamma and lam must be nonnegative")
-        if self.tube_radius <= 0.0:
+        if not self.tube_radius > 0.0:
             raise ValueError("tube_radius must be positive")
 
     def field_for(self, spec: ManifoldSpec) -> ActivationField:

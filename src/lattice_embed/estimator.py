@@ -72,7 +72,6 @@ class LatticeEmbedder(BaseEstimator):
         lam: float = 0.0,
         tube_radius: float = 0.1,
         quadrature_resolution: int = 64,
-        step: float = 0.1,
         max_iters: int = 500,
         grad_tol: float = 1e-6,
         seed: int = 0,
@@ -85,7 +84,6 @@ class LatticeEmbedder(BaseEstimator):
         self.lam = lam
         self.tube_radius = tube_radius
         self.quadrature_resolution = quadrature_resolution
-        self.step = step
         self.max_iters = max_iters
         self.grad_tol = grad_tol
         self.seed = seed
@@ -104,11 +102,7 @@ class LatticeEmbedder(BaseEstimator):
             quadrature_resolution=self.quadrature_resolution,
             quadrature_seed=self.seed,
         )
-        config = SolverConfig(
-            initial_step=self.step,
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
-        )
+        config = SolverConfig(max_iters=self.max_iters, grad_tol=self.grad_tol)
         return spec, params, config
 
     def fit(self, X, y=None) -> "LatticeEmbedder":

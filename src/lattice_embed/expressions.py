@@ -198,11 +198,18 @@ def compile_chart(
 
     The chart maps arrays of shape (..., d) to (..., n); the Jacobian maps a
     single parameter point (d,) to the (n, d) matrix of partials.
+    Expressions nested too deeply for Python's parser, for the rebuilding
+    and differentiating passes or for the compiler raise ExpressionError.
     """
-    trees = [parse_expression(text, intrinsic_dim) for text in expressions]
     names = [f"u{k + 1}" for k in range(intrinsic_dim)]
-    values = _compile(trees, names)
-    partials = _compile([derivative(t, name) for t in trees for name in names], names)
+    try:
+        trees = [parse_expression(text, intrinsic_dim) for text in expressions]
+        values = _compile(trees, names)
+        partials = _compile(
+            [derivative(t, name) for t in trees for name in names], names
+        )
+    except RecursionError:
+        raise ExpressionError("chart expression is nested too deeply") from None
     shape = (len(trees), intrinsic_dim)
 
     def chart(u):

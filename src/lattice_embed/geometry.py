@@ -1,18 +1,19 @@
 """Manifold charts, tangent/normal frames, projection, and curvature kernels.
 
 A manifold is a parametric chart over a rectangular parameter box, with an
-analytic Jacobian.  The built-ins (plane, sphere, torus) also carry
-closed-form closest-point projection and exact Gaussian curvature; generic
-charts fall back to damped Gauss-Newton projection (seeded from a coarse
-parameter grid that each manifold evaluates once, periodic axes wrapping) and
-a finite-difference curvature pipeline built from central differences of the
-pullback metric.
+analytic Jacobian.  The built-in constructors (plane, sphere, torus) attach
+their closed-form closest-point projection and Gaussian curvature to the spec
+as `projection_fn` and `curvature_fn`; a spec without them (every
+`parametric` chart) falls back to damped Gauss-Newton projection (seeded from
+a coarse parameter grid that each manifold evaluates once, periodic axes
+wrapping) and a finite-difference curvature pipeline built from central
+differences of the pullback metric.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,13 +41,16 @@ _GN_STEP_TOL = 1e-12
 # Two tangent directions count as parallel when the normalized Gram
 # determinant 1 - cos^2 of their angle is at or below this.
 PARALLEL_TOL = 1e-8
-# Manifold kinds with closed-form Gaussian curvature (see gaussian_curvature).
-ANALYTIC_KINDS = ("plane", "sphere", "torus")
 
 
 @dataclass(frozen=True, eq=False)
 class ManifoldSpec:
-    """Immutable description of a d-manifold embedded in R^n via one chart."""
+    """Immutable description of a d-manifold embedded in R^n via one chart.
+
+    projection_fn (ambient q -> Projection) and curvature_fn (parameter u ->
+    Gaussian curvature) are the closed forms of a built-in; None means the
+    generic Gauss-Newton and finite-difference paths.
+    """
 
     kind: str
     ambient_dim: int
@@ -55,7 +59,8 @@ class ManifoldSpec:
     jacobian_fn: Callable[[Array], Array]  # u -> (n, d) chart partials
     param_bounds: Array  # (d, 2) rows of (lower, upper)
     periodic: tuple[bool, ...] = ()
-    params: dict = field(default_factory=dict)
+    projection_fn: Callable[[Array], "Projection"] | None = None
+    curvature_fn: Callable[[Array], float] | None = None
 
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.param_bounds, dtype=float))
@@ -106,15 +111,30 @@ class ManifoldSpec:
     @classmethod
     def plane(cls, bounds=((-10.0, 10.0), (-10.0, 10.0))) -> "ManifoldSpec":
         """The z=0 plane in R^3, chart (u1, u2) -> (u1, u2, 0)."""
+        bounds = np.asarray(bounds, dtype=float)
+
+        def chart(u):
+            u = np.asarray(u, dtype=float)
+            out = np.zeros(u.shape[:-1] + (3,))
+            out[..., 0] = u[..., 0]
+            out[..., 1] = u[..., 1]
+            return out
+
+        def project(q):
+            u = np.clip(q[:2], bounds[:, 0], bounds[:, 1])
+            return Projection(point=np.array([u[0], u[1], 0.0]), u=u)
+
         return cls(
             kind="plane",
             ambient_dim=3,
             intrinsic_dim=2,
-            chart_fn=_plane_chart,
-            param_bounds=np.asarray(bounds, dtype=float),
+            chart_fn=chart,
+            param_bounds=bounds,
             jacobian_fn=lambda u: np.array(
                 [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
             ),
+            projection_fn=project,
+            curvature_fn=lambda u: 0.0,
         )
 
     @classmethod
@@ -148,6 +168,22 @@ class ManifoldSpec:
                 ]
             )
 
+        def project(q):
+            nq = float(np.linalg.norm(q))
+            if nq <= _TIE_TOL:
+                warnings.warn(
+                    "query equidistant from the whole sphere; returning the "
+                    "smallest-lexicographic parameter",
+                    DegenerateProjectionWarning,
+                    stacklevel=3,
+                )
+                u = np.zeros(2)
+                return Projection(point=np.asarray(chart(u), float), u=u)
+            theta = math.acos(min(max(q[2] / nq, -1.0), 1.0))
+            phi = math.atan2(q[1], q[0]) % (2.0 * math.pi)
+            u = np.array([theta, phi])
+            return Projection(point=(r / nq) * np.asarray(q, float), u=u)
+
         return cls(
             kind="sphere",
             ambient_dim=3,
@@ -156,7 +192,8 @@ class ManifoldSpec:
             param_bounds=np.array([[0.0, math.pi], [0.0, 2.0 * math.pi]]),
             periodic=(False, True),
             jacobian_fn=jacobian,
-            params={"radius": r},
+            projection_fn=project,
+            curvature_fn=lambda u: 1.0 / (r * r),
         )
 
     @classmethod
@@ -189,6 +226,42 @@ class ManifoldSpec:
                 ]
             )
 
+        def project(q):
+            rho = math.hypot(q[0], q[1])
+            if rho <= _TIE_TOL:
+                warnings.warn(
+                    "query on the torus axis; returning the smallest-lexicographic "
+                    "toroidal angle",
+                    DegenerateProjectionWarning,
+                    stacklevel=3,
+                )
+                # Equidistant in the toroidal angle; the poloidal distance
+                # d^2(b) = const + 2 small (big cos b - q_z sin b) has the
+                # closed-form minimizer b = pi - atan2(q_z, big), which lies in
+                # (pi/2, 3 pi/2) since big > 0.
+                u = np.array([0.0, math.pi - math.atan2(q[2], big)])
+                return Projection(point=np.asarray(chart(u), float), u=u)
+            a = math.atan2(q[1], q[0]) % (2.0 * math.pi)
+            ring_pt = np.array([big * q[0] / rho, big * q[1] / rho, 0.0])
+            w = np.asarray(q, float) - ring_pt
+            nw = float(np.linalg.norm(w))
+            if nw <= _TIE_TOL:
+                warnings.warn(
+                    "query on the torus core circle; returning the "
+                    "smallest-lexicographic poloidal angle",
+                    DegenerateProjectionWarning,
+                    stacklevel=3,
+                )
+                b = 0.0
+            else:
+                b = math.atan2(q[2], rho - big) % (2.0 * math.pi)
+            u = np.array([a, b])
+            return Projection(point=np.asarray(chart(u), float), u=u)
+
+        def curvature(u):
+            b = float(np.asarray(u, dtype=float).reshape(-1)[1])
+            return math.cos(b) / (small * (big + small * math.cos(b)))
+
         return cls(
             kind="torus",
             ambient_dim=3,
@@ -199,7 +272,8 @@ class ManifoldSpec:
             ),
             periodic=(True, True),
             jacobian_fn=jacobian,
-            params={"major_radius": big, "minor_radius": small},
+            projection_fn=project,
+            curvature_fn=curvature,
         )
 
     @classmethod
@@ -226,17 +300,17 @@ class ManifoldSpec:
 
 
 def make_manifold(kind: str, **params) -> ManifoldSpec:
-    """Dispatch constructor used by config/CLI ingestion."""
-    kind = kind.lower()
-    if kind == "plane":
-        return ManifoldSpec.plane(**params)
-    if kind == "sphere":
-        return ManifoldSpec.sphere(**params)
-    if kind == "torus":
-        return ManifoldSpec.torus(**params)
-    if kind == "parametric":
-        return ManifoldSpec.parametric(**params)
-    raise ValueError(f"unknown manifold kind {kind!r}")
+    """The ManifoldSpec constructor of that name (case-insensitive) applied
+    to params; used by config and estimator ingestion."""
+    constructor = {
+        "plane": ManifoldSpec.plane,
+        "sphere": ManifoldSpec.sphere,
+        "torus": ManifoldSpec.torus,
+        "parametric": ManifoldSpec.parametric,
+    }.get(kind.lower())
+    if constructor is None:
+        raise ValueError(f"unknown manifold kind {kind!r}")
+    return constructor(**params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,14 +349,6 @@ def _check_param(spec: ManifoldSpec, u) -> Array:
     return u
 
 
-def _plane_chart(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape[:-1] + (3,))
-    out[..., 0] = u[..., 0]
-    out[..., 1] = u[..., 1]
-    return out
-
-
 def _jacobian(spec: ManifoldSpec, u: Array) -> Array:
     return np.asarray(spec.jacobian_fn(u), dtype=float)
 
@@ -299,65 +365,33 @@ def chart_jacobian(spec: ManifoldSpec, u) -> Array:
     return _jacobian(spec, u)
 
 
-def _orthonormalize_rows(rows: Array, pivot_tol: float) -> tuple[Array, list[int]]:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Returns the orthonormal rows and the indices of inputs that survived
-    (residual norm above pivot_tol).
-    """
-    kept: list[Array] = []
-    survivors: list[int] = []
-    for idx, vec in enumerate(rows):
-        w = np.array(vec, dtype=float)
-        for _ in range(2):
-            for b in kept:
-                w = w - (w @ b) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm <= pivot_tol:
-            continue
-        kept.append(w / nrm)
-        survivors.append(idx)
-    return (np.array(kept) if kept else np.zeros((0, rows.shape[1]))), survivors
-
-
 def tangent_frame(spec: ManifoldSpec, u) -> TangentFrame:
-    """Orthonormal tangent/normal frame at chart(u).
+    """Orthonormal tangent/normal frame at chart(u), from one complete QR
+    factorization J = QR of the chart Jacobian.
 
-    The tangent basis is the ordered Gram-Schmidt orthonormalization of the
-    chart Jacobian columns; the normal basis completes it by orthonormalizing
-    the ambient coordinate axes against it, skipping near-zero residuals.
+    The tangent rows are Q's first d columns signed by diag(R), which is the
+    ordered Gram-Schmidt orthonormalization of the Jacobian columns.  The
+    normal rows are Q's remaining columns, each signed so that its first
+    entry above 1e-8 in magnitude is positive; in codimension 1 that is the
+    completion by the first ambient axis the tangent plane does not contain.
     """
     u = _check_param(spec, u)
     jac = _jacobian(spec, u)
+    d = spec.intrinsic_dim
+    q, r = np.linalg.qr(jac, mode="complete")
+    pivots = np.diag(r)
     col_scale = max(float(np.max(np.linalg.norm(jac, axis=0))), 1e-300)
-    tangent, kept = _orthonormalize_rows(jac.T, pivot_tol=1e-8 * col_scale)
-    if len(kept) < spec.intrinsic_dim:
+    rank = int(np.count_nonzero(np.abs(pivots) > 1e-8 * col_scale))
+    if rank < d:
         raise RankDeficientError(
-            f"chart Jacobian has column rank {len(kept)} < {spec.intrinsic_dim} "
-            f"at u={u}"
+            f"chart Jacobian has column rank {rank} < {d} at u={u}"
         )
-    n = spec.ambient_dim
-    normal_rows: list[Array] = []
-    for k in range(n):
-        if len(normal_rows) == n - spec.intrinsic_dim:
-            break
-        w = np.zeros(n)
-        w[k] = 1.0
-        for _ in range(2):
-            for b in tangent:
-                w = w - (w @ b) * b
-            for b in normal_rows:
-                w = w - (w @ b) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-8:
-            continue
-        normal_rows.append(w / nrm)
-    if len(normal_rows) != n - spec.intrinsic_dim:
-        raise RankDeficientError(f"could not complete normal basis at u={u}")
+    normal = q[:, d:].T
+    lead = np.argmax(np.abs(normal) > 1e-8, axis=1)
     frame = TangentFrame(
         point=np.asarray(spec.chart_fn(u), dtype=float),
-        tangent_basis=tangent,
-        normal_basis=np.array(normal_rows) if normal_rows else np.zeros((0, n)),
+        tangent_basis=q[:, :d].T * np.sign(pivots)[:, None],
+        normal_basis=normal * np.sign(normal[np.arange(len(lead)), lead])[:, None],
     )
     frame.validate()
     return frame
@@ -387,88 +421,24 @@ def _wrap_parameter(spec: ManifoldSpec, u: Array) -> Array:
     return out
 
 
-def _closest_point_plane(spec, q):
-    lo, hi = spec.param_bounds[:, 0], spec.param_bounds[:, 1]
-    u = np.clip(q[:2], lo, hi)
-    return Projection(point=np.array([u[0], u[1], 0.0]), u=u)
-
-
-def _closest_point_sphere(spec, q):
-    r = spec.params["radius"]
-    nq = float(np.linalg.norm(q))
-    if nq <= _TIE_TOL:
-        warnings.warn(
-            "query equidistant from the whole sphere; returning the "
-            "smallest-lexicographic parameter",
-            DegenerateProjectionWarning,
-            stacklevel=3,
-        )
-        u = np.zeros(2)
-        return Projection(point=np.asarray(spec.chart_fn(u), float), u=u)
-    theta = math.acos(min(max(q[2] / nq, -1.0), 1.0))
-    phi = math.atan2(q[1], q[0]) % (2.0 * math.pi)
-    u = np.array([theta, phi])
-    return Projection(point=(r / nq) * np.asarray(q, float), u=u)
-
-
-def _closest_point_torus(spec, q):
-    big = spec.params["major_radius"]
-    small = spec.params["minor_radius"]
-    rho = math.hypot(q[0], q[1])
-    if rho <= _TIE_TOL:
-        warnings.warn(
-            "query on the torus axis; returning the smallest-lexicographic "
-            "toroidal angle",
-            DegenerateProjectionWarning,
-            stacklevel=3,
-        )
-        # Equidistant in the toroidal angle; the poloidal distance
-        # d^2(b) = const + 2 small (big cos b - q_z sin b) has the closed-form
-        # minimizer b = pi - atan2(q_z, big).
-        a = 0.0
-        b = math.pi - math.atan2(q[2], big)
-        u = _wrap_parameter(spec, np.array([a, b]))
-        return Projection(point=np.asarray(spec.chart_fn(u), float), u=u)
-    a = math.atan2(q[1], q[0]) % (2.0 * math.pi)
-    ring_pt = np.array([big * q[0] / rho, big * q[1] / rho, 0.0])
-    w = np.asarray(q, float) - ring_pt
-    nw = float(np.linalg.norm(w))
-    if nw <= _TIE_TOL:
-        warnings.warn(
-            "query on the torus core circle; returning the "
-            "smallest-lexicographic poloidal angle",
-            DegenerateProjectionWarning,
-            stacklevel=3,
-        )
-        b = 0.0
-    else:
-        b = math.atan2(q[2], rho - big) % (2.0 * math.pi)
-    u = np.array([a, b])
-    return Projection(point=np.asarray(spec.chart_fn(u), float), u=u)
-
-
 def closest_point(spec: ManifoldSpec, q) -> Projection:
     """Closest point on M to the ambient point q.
 
-    Built-ins use closed forms (equidistant ties are warned about and broken
-    toward the smallest-lexicographic parameter).  Generic charts run damped
-    Gauss-Newton from the nearest point of the spec's coarse seed grid, for
-    at most _GN_MAX_ITERS steps.  Candidates wrap on periodic axes and are
-    clamped into the box on the others; each step halves its damping until
-    the objective decreases or the step t*|d| falls below _GN_STEP_TOL, and
-    a step moving u by less than _GN_STEP_TOL ends the projection.  Each
-    chart image is evaluated once: the accepted candidate's image is the next
-    residual and the returned point.
+    A spec with a projection_fn returns its closed form (the built-ins warn
+    about equidistant ties and break them toward the smallest-lexicographic
+    parameter).  Other specs run damped Gauss-Newton from the nearest point
+    of their coarse seed grid, for at most _GN_MAX_ITERS steps.  Candidates
+    wrap on periodic axes and are clamped into the box on the others; each
+    step halves its damping until the objective decreases or the step t*|d|
+    falls below _GN_STEP_TOL, and a step moving u by less than _GN_STEP_TOL
+    ends the projection.  Each chart image is evaluated once: the accepted
+    candidate's image is the next residual and the returned point.
     """
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != spec.ambient_dim or not np.all(np.isfinite(q)):
         raise ValueError("query point must be a finite ambient vector")
-    if spec.kind == "plane":
-        return _closest_point_plane(spec, q)
-    if spec.kind == "sphere":
-        return _closest_point_sphere(spec, q)
-    if spec.kind == "torus":
-        return _closest_point_torus(spec, q)
+    if spec.projection_fn is not None:
+        return spec.projection_fn(q)
 
     grid, images = spec.seed_grid
     # a copy: the returned u must not alias the cached grid
@@ -618,20 +588,12 @@ def riemann_apply(spec: ManifoldSpec, u, v, w, z=None) -> Array:
 
 
 def gaussian_curvature(spec: ManifoldSpec, u) -> float:
-    """Closed-form Gaussian curvature for the analytic built-ins."""
-    if spec.kind == "plane":
-        return 0.0
-    if spec.kind == "sphere":
-        r = spec.params["radius"]
-        return 1.0 / (r * r)
-    if spec.kind == "torus":
-        big = spec.params["major_radius"]
-        small = spec.params["minor_radius"]
-        b = float(np.asarray(u, dtype=float).reshape(-1)[1])
-        return math.cos(b) / (small * (big + small * math.cos(b)))
-    raise DegeneratePlaneError(
-        f"no analytic curvature for manifold kind {spec.kind!r}"
-    )
+    """Closed-form Gaussian curvature, from the spec's curvature_fn."""
+    if spec.curvature_fn is None:
+        raise DegeneratePlaneError(
+            f"no closed-form curvature for manifold kind {spec.kind!r}"
+        )
+    return spec.curvature_fn(u)
 
 
 def _canonical_pair(g: Array, v: Array, w: Array):
@@ -670,20 +632,18 @@ def sectional_curvature(
     """Sectional curvature K(v, w) = <R(v,w)w, v> / (<v,v><w,w> - <v,w>^2)
     in the pullback metric, for chart-coordinate tangent vectors v, w.
 
-    method "auto" uses the closed form for the ANALYTIC_KINDS and the
-    finite-difference pipeline otherwise; "fd" forces the pipeline.
+    method "auto" uses the spec's closed-form curvature_fn when it has one
+    and the finite-difference pipeline otherwise; "fd" forces the pipeline.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
     g = metric(spec, u)
     a, b = _canonical_pair(g, v, w)
-    if method not in ("auto", "fd", "analytic"):
+    if method not in ("auto", "fd"):
         raise ValueError(f"unknown curvature method {method!r}")
-    if method == "analytic" or (
-        method == "auto" and spec.kind in ANALYTIC_KINDS
-    ):
-        return gaussian_curvature(spec, u)
+    if method == "auto" and spec.curvature_fn is not None:
+        return spec.curvature_fn(u)
     g0, _, riemann = curvature_tensor(spec, u)
     numerator = float(np.einsum("lm,lijk,i,j,k,m->", g0, riemann, a, b, b, a))
     denominator = float((a @ g0 @ a) * (b @ g0 @ b) - (a @ g0 @ b) ** 2)

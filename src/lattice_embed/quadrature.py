@@ -2,12 +2,14 @@
 tangent sphere, and its ambient-space gradient through the closest-point
 pullback.
 
-For surfaces (d = 2) the integral is closed-form, (2 pi)^2 times the Gaussian
-curvature, since every non-parallel pair of tangent directions spans the same
-plane, so the rule's nodes are never read; above d = 2 it is a quadrature over
-the rule's non-parallel node pairs, which each rule selects once.  Rules are
-memoized on (d, resolution, seed) and read-only.  The ambient gradient is a
-central difference of the integral at the closest points of shifted queries.
+For surfaces (d = 2) the integral is (2 pi)^2 times the Gaussian curvature,
+since every non-parallel pair of tangent directions spans the same plane, so
+the rule's nodes are never read; the curvature is the spec's closed form when
+it has one and a finite-difference Riemann tensor otherwise.  Above d = 2 it
+is a quadrature over the rule's non-parallel node pairs, which each rule
+selects once.  Rules are memoized on (d, resolution, seed) and read-only.
+The ambient gradient is a central difference, with step _GRADIENT_STEP, of
+the integral at the closest points of shifted queries.
 """
 from __future__ import annotations
 
@@ -17,21 +19,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    AllPairsDegenerateError,
-    BadResolutionError,
-    DegeneratePlaneError,
-)
-from .geometry import (
-    ANALYTIC_KINDS,
-    PARALLEL_TOL,
-    ManifoldSpec,
-    closest_point,
-    curvature_tensor,
-    gaussian_curvature,
-)
+from .errors import AllPairsDegenerateError, BadResolutionError
+from .geometry import PARALLEL_TOL, ManifoldSpec, closest_point, curvature_tensor
 
 Array = np.ndarray
+
+# Ambient step of the central-difference curvature gradient.
+_GRADIENT_STEP = 1e-3
 
 
 def sphere_measure(d: int) -> float:
@@ -123,16 +117,14 @@ def curvature_double_integral(
     spec: ManifoldSpec,
     u,
     rule: QuadratureRule,
-    *,
-    method: str = "auto",
 ) -> float:
     """Total sectional curvature over tangent-direction pairs at chart(u).
 
     For surfaces every non-parallel pair spans the whole tangent plane, so
     the integral is sphere_measure(2)**2 times the Gaussian curvature, and
-    the rule contributes only its dimension: the closed form for the
-    ANALYTIC_KINDS (method "auto") or when asked for ("analytic"), otherwise
-    <R(e1, e2)e2, e1> / det g from one finite-difference Riemann tensor.
+    the rule contributes only its dimension: the spec's closed-form
+    curvature_fn when it has one, otherwise <R(e1, e2)e2, e1> / det g from
+    one finite-difference Riemann tensor.
     Above d = 2 the rule's retained pairs (rule.pairs) are mapped through a
     metric-orthonormal basis of the tangent space, each pair's curvature is
     summed, and the retained weight mass is rescaled so the total pair
@@ -144,13 +136,9 @@ def curvature_double_integral(
             f"rule dimension {rule.intrinsic_dim} != manifold dimension "
             f"{spec.intrinsic_dim}"
         )
-    if method not in ("auto", "fd", "analytic"):
-        raise ValueError(f"unknown curvature method {method!r}")
     if spec.intrinsic_dim == 2:
-        if method == "analytic" or (
-            method == "auto" and spec.kind in ANALYTIC_KINDS
-        ):
-            k = gaussian_curvature(spec, u)
+        if spec.curvature_fn is not None:
+            k = spec.curvature_fn(u)
         else:
             g0, _, riemann = curvature_tensor(spec, u)
             numerator = float(g0[:, 0] @ riemann[:, 0, 1, 1])
@@ -161,9 +149,6 @@ def curvature_double_integral(
         raise AllPairsDegenerateError(
             "every node pair rejected as numerically parallel"
         )
-    if method == "analytic":
-        raise DegeneratePlaneError("no analytic curvature above dimension 2")
-
     g0, _, riemann = curvature_tensor(spec, u)
     # B^T g0 B = I: the columns of B are a metric-orthonormal tangent basis,
     # and metric inner products of mapped nodes B n_i equal Euclidean inner
@@ -197,12 +182,7 @@ def curvature_double_integral(
 
 
 def curvature_integral_gradient(
-    spec: ManifoldSpec,
-    q,
-    rule: QuadratureRule,
-    fd_step: float = 1e-3,
-    *,
-    method: str = "auto",
+    spec: ManifoldSpec, q, rule: QuadratureRule
 ) -> Array:
     """Central-difference ambient gradient of the pullback integral at q,
     the integral being taken at the closest point on M of each shifted q."""
@@ -210,12 +190,10 @@ def curvature_integral_gradient(
     grad = np.zeros_like(q)
     for k in range(q.shape[0]):
         offset = np.zeros_like(q)
-        offset[k] = fd_step
+        offset[k] = _GRADIENT_STEP
         c_plus, c_minus = (
-            curvature_double_integral(
-                spec, closest_point(spec, x).u, rule, method=method
-            )
+            curvature_double_integral(spec, closest_point(spec, x).u, rule)
             for x in (q + offset, q - offset)
         )
-        grad[k] = (c_plus - c_minus) / (2.0 * fd_step)
+        grad[k] = (c_plus - c_minus) / (2.0 * _GRADIENT_STEP)
     return grad

@@ -22,23 +22,25 @@ from .validation import check_points_array
 Array = np.ndarray
 
 _MIN_STEP = 1e-16
-# Armijo line search: each rejected trial step is multiplied by _BACKTRACK, and
-# a step s is accepted when it lowers the energy by _ARMIJO_C * s * |grad|^2.
+# Armijo line search: the first trial step of every iteration is _INITIAL_STEP,
+# each rejected trial step is multiplied by _BACKTRACK, and a step s is
+# accepted when it lowers the energy by _ARMIJO_C * s * |grad|^2.
+_INITIAL_STEP = 0.1
 _BACKTRACK = 0.5
 _ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    initial_step: float = 0.1
     max_iters: int = 500
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
-        if self.max_iters < 1:
+        # negated comparisons, so that NaN fails them
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
+        if not self.grad_tol > 0.0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(eq=False)
@@ -72,7 +74,7 @@ def descend_point(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= config.grad_tol:
             break
-        step = config.initial_step
+        step = _INITIAL_STEP
         accepted = False
         while step >= _MIN_STEP:
             candidate = q - step * grad

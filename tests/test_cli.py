@@ -173,8 +173,16 @@ def test_config_error_exit_code(tmp_path):
         "manifold.kind = parametric\nmanifold.chart = u1; u2; 0\n"
         "manifold.bounds = 1:0, -1:1\n",
         "manifold.kind = torus\nlattice.bounds = 0:1, 0:1\n",
+        "manifold.kind = parametric\nmanifold.chart = u1; u2; "
+        + "+".join(["u1"] * 3000)
+        + "\nmanifold.bounds = -1:1, -1:1\n",
     ],
-    ids=["torus-r-above-R", "parametric-lower-above-upper", "lattice-axes"],
+    ids=[
+        "torus-r-above-R",
+        "parametric-lower-above-upper",
+        "lattice-axes",
+        "chart-nested-too-deeply",
+    ],
 )
 def test_bad_manifold_or_lattice_exit_code(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text + f"output.directory = {tmp_path / 'out'}\n")

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lattice_embed.config import default_config, parse_config
@@ -22,7 +23,18 @@ def test_minimal_sphere_config_gets_documented_defaults():
     assert config.get("quadrature", "resolution") == 64
     assert config.get("solver", "grad_tol") == 1e-6
     spec = config.manifold()
-    assert spec.kind == "sphere" and spec.params["radius"] == 1.0
+    assert spec.kind == "sphere"
+    assert np.array_equal(spec.chart_fn(np.zeros(2)), [0.0, 0.0, 1.0])
+
+
+def test_unset_radii_take_constructor_defaults():
+    # manifold.R = 3 with no manifold.r: the torus constructor's minor radius
+    spec = parse_config("manifold.kind = torus\nmanifold.R = 3\n").manifold()
+    assert np.array_equal(spec.chart_fn(np.zeros(2)), [3.5, 0.0, 0.0])
+    spec = parse_config("manifold.kind = torus\nmanifold.r = 0.25\n").manifold()
+    assert np.array_equal(spec.chart_fn(np.zeros(2)), [2.25, 0.0, 0.0])
+    spec = parse_config("manifold.kind = sphere\n").manifold()
+    assert np.array_equal(spec.chart_fn(np.zeros(2)), [0.0, 0.0, 1.0])
 
 
 def test_section_header_syntax():
@@ -53,6 +65,8 @@ def test_unknown_key_named():
         ("field.fd_step = 1e-4", "fd_step", "field"),
         ("field.mu = 2", "mu", "field"),
         ("quadrature.eps_parallel = 1e-6", "eps_parallel", "quadrature"),
+        ("solver.step = 0.2", "step", "solver"),
+        ("output.formats = csv", "formats", "output"),
     ):
         with pytest.raises(UnknownKeyError) as err:
             parse_config(f"manifold.kind = plane\n{line}\n")

@@ -18,6 +18,13 @@ def test_get_set_params_roundtrip():
         est.set_params(nonsense=1)
 
 
+def test_nonpositive_grad_tol_rejected():
+    # a zero tolerance would run every point to max_iters and converge none
+    est = LatticeEmbedder(manifold="plane", grad_tol=0.0, max_iters=50)
+    with pytest.raises(ValueError):
+        est.fit(np.array([[0.1, 0.2, 0.05]]))
+
+
 def test_fit_projects_plane_points():
     rng = np.random.default_rng(3)
     X = rng.uniform(-1.0, 1.0, size=(20, 3)) * np.array([1.0, 1.0, 0.15])

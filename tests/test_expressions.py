@@ -21,6 +21,12 @@ def test_evaluate_polynomial_and_trig():
     assert value(np.array([0.7, -1.2])) == pytest.approx(expected, rel=1e-15)
 
 
+def test_chart_nested_too_deeply_is_expression_error():
+    # thousands of terms overflow the recursion of the parser and its passes
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_chart(["+".join(["u1"] * 3000), "u2", "0"], 2)
+
+
 def test_evaluate_vectorized():
     value, _ = component("exp(u1) - u2")
     u1 = np.array([0.0, 1.0, 2.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,7 +62,8 @@ def test_chart_out_of_domain():
 
 
 def test_make_manifold_dispatch():
-    assert make_manifold("sphere", radius=2.0).params["radius"] == 2.0
+    spec = make_manifold("sphere", radius=2.0)
+    assert np.allclose(chart_eval(spec, [0.0, 0.0]), [0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         make_manifold("mystery")
 
@@ -224,6 +226,22 @@ def test_closest_point_gauss_newton_matches_analytic_sphere():
         proj = closest_point(spec, q)
         expected = q / norm
         assert np.linalg.norm(proj.point - expected) < 1e-6
+
+
+def test_builtin_without_closed_forms_takes_generic_path():
+    generic = dataclasses.replace(TORUS, projection_fn=None, curvature_fn=None)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a, b = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        normal = [math.cos(b) * math.cos(a), math.cos(b) * math.sin(a), math.sin(b)]
+        q = chart_eval(TORUS, [a, b]) + rng.uniform(-0.3, 0.3) * np.array(normal)
+        proj = closest_point(generic, q)
+        assert np.linalg.norm(proj.point - closest_point(TORUS, q).point) <= 1e-7
+    assert "seed_grid" in vars(generic)  # Gauss-Newton ran from its seed grid
+    with pytest.raises(DegeneratePlaneError):
+        gaussian_curvature(generic, [1.0, 2.0])
+    k_fd = sectional_curvature(generic, [1.0, 2.0], [1.0, 0.0], [0.0, 1.0])
+    assert abs(k_fd - gaussian_curvature(TORUS, [1.0, 2.0])) <= 1e-4
 
 
 def test_closest_point_degenerate_sphere_center_warns():

@@ -22,9 +22,10 @@ PROJECTION_PARAMS = EnergyParams(alpha=1.0, beta=1.0, gamma=0.0, lam=0.0)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(initial_step=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    for grad_tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(grad_tol=grad_tol)
 
 
 def test_descend_plane_projects():
