@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .energy import total_energy, total_gradient
 from .errors import ConfigError, LatticeEmbedError, ValidationError
-from .geometry import sectional_curvature
+from .geometry import gaussian_curvature, sectional_curvature
 from .quadrature import curvature_double_integral, sphere_measure
 from .solver import embed_lattice
 from .validation import check_points_array
@@ -128,24 +128,25 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     if grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {grid}")
     spec = config.manifold()
-    rule = config.energy_params().rule_for(spec)
-    # cell centers keep the stencil inside the box and off chart degeneracies
+    # cell centers keep off chart degeneracies (the sphere's poles) and keep
+    # the finite-difference stencil of d >= 3 charts inside the box
     axes = [
         lo + (np.arange(grid) + 0.5) * (hi - lo) / grid
         for lo, hi in spec.param_bounds
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    rows = []
-    for u in points:
-        integral = curvature_double_integral(spec, u, rule)
-        if spec.intrinsic_dim == 2:
-            # every tangent pair spans the one plane: C = (2 pi)^2 K
-            k = integral / sphere_measure(2) ** 2
-        else:
-            basis = np.eye(spec.intrinsic_dim)
-            k = sectional_curvature(spec, u, basis[0], basis[1])
-        rows.append(list(u) + [float(k), float(integral)])
+    if spec.intrinsic_dim == 2:
+        # every tangent pair spans the one plane: C = (2 pi)^2 K, and the
+        # whole grid takes one curvature call
+        k = gaussian_curvature(spec, points)
+        integral = sphere_measure(2) ** 2 * k
+    else:
+        rule = config.energy_params().rule_for(spec)
+        basis = np.eye(spec.intrinsic_dim)
+        k = [sectional_curvature(spec, u, basis[0], basis[1]) for u in points]
+        integral = [curvature_double_integral(spec, u, rule) for u in points]
+    rows = [list(u) + [float(ku), float(cu)] for u, ku, cu in zip(points, k, integral)]
     columns = [f"u{k + 1}" for k in range(spec.intrinsic_dim)] + ["K", "C"]
     out = _out_dir(config)
     _write_rows(out / "curvature.csv", config.digest(), columns, rows)

@@ -86,6 +86,12 @@ _RADII = {
     "sphere": {"r": "radius"},
     "torus": {"R": "major_radius", "r": "minor_radius"},
 }
+# the manifold keys besides kind that each kind reads; setting any other one
+# is a configuration error
+_KIND_KEYS = {
+    **{kind: tuple(radii) for kind, radii in _RADII.items()},
+    "parametric": ("chart", "bounds"),
+}
 
 
 @dataclass(eq=True)
@@ -93,6 +99,11 @@ class RunConfig:
     """Fully resolved configuration; values live in per-section dicts."""
 
     sections: dict = field(default_factory=dict)
+    # the spec manifold() built first; specs are immutable, so one serves
+    # every command run on this configuration
+    _spec: ManifoldSpec | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def get(self, section: str, key: str):
         return self.sections[section][key]
@@ -100,6 +111,13 @@ class RunConfig:
     # -- assembly into library objects ------------------------------------
 
     def manifold(self) -> ManifoldSpec:
+        """The configured manifold, built on the first call (parse_config
+        makes it, to validate the manifold settings) and shared after."""
+        if self._spec is None:
+            self._spec = self._build_manifold()
+        return self._spec
+
+    def _build_manifold(self) -> ManifoldSpec:
         m = self.sections["manifold"]
         kind = m["kind"]
         if kind == "parametric":
@@ -185,6 +203,14 @@ def _validate(config: RunConfig) -> None:
     require("solver", "max_iters", s["max_iters"] >= 1, "must be at least 1")
     require("solver", "grad_tol", s["grad_tol"] > 0.0, "must be positive")
     m = config.sections["manifold"]
+    if m["kind"] in _KIND_KEYS:  # an unknown kind fails in manifold()
+        for key in sorted(set(m) - {"kind", *_KIND_KEYS[m["kind"]]}):
+            require(
+                "manifold",
+                key,
+                m[key] is None,
+                f"not read by manifold kind {m['kind']!r}",
+            )
     if m["r"] is not None:
         require("manifold", "r", m["r"] > 0.0, "must be positive")
     if m["R"] is not None:

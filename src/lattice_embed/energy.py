@@ -54,8 +54,8 @@ class EnergyParams:
         # negated comparisons, so that NaN fails them
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be positive")
-        if not (self.gamma >= 0.0 and self.lam >= 0.0):
-            raise ValueError("gamma and lam must be nonnegative")
+        if not (self.gamma >= 0.0 and self.lam >= 0.0 and self.mu >= 0.0):
+            raise ValueError("gamma, lam and mu must be nonnegative")
         if not self.tube_radius > 0.0:
             raise ValueError("tube_radius must be positive")
 

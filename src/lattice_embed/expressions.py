@@ -12,8 +12,10 @@ then rebuilds every node of the grammar from scratch and rejects anything
 else with `ExpressionError`.  `derivative` differentiates the rebuilt trees
 symbolically, which gives parametric charts an analytic Jacobian without
 pulling in a CAS.  `compile_chart` compiles the chart and its Jacobian once
-each; they evaluate vectorized over numpy arrays with no builtins, only
-numpy's ``sin``, ``cos`` and ``exp`` in scope.
+each, and `compile_partials` the first and second partials together (the
+second from `derivative` of the Jacobian trees); they evaluate vectorized
+over numpy arrays with no builtins, only numpy's ``sin``, ``cos`` and
+``exp`` in scope.
 """
 from __future__ import annotations
 
@@ -224,3 +226,41 @@ def compile_chart(
         return np.array([float(v) for v in out], dtype=float).reshape(shape)
 
     return chart, jacobian
+
+
+def compile_partials(expressions: Sequence[str], intrinsic_dim: int) -> Callable:
+    """Build one vectorized callable for the first and second chart partials.
+
+    It maps parameter arrays of shape (..., d) to the pair (J, H): J of
+    shape (..., n, d) holds the partials dX/du_i and H of shape
+    (..., n, d, d) the symmetric second partials d2X/du_i du_j.  Each H entry
+    with i <= j is compiled once, from `derivative` of the Jacobian tree by
+    u_j, and all of them run in the same call as J.  Expressions nested too
+    deeply raise ExpressionError, as in `compile_chart`.
+    """
+    names = [f"u{k + 1}" for k in range(intrinsic_dim)]
+    pairs = [(i, j) for i in range(intrinsic_dim) for j in range(i, intrinsic_dim)]
+    try:
+        trees = [parse_expression(text, intrinsic_dim) for text in expressions]
+        first = [[derivative(t, name) for name in names] for t in trees]
+        second = [derivative(row[i], names[j]) for row in first for i, j in pairs]
+        values = _compile([e for row in first for e in row] + second, names)
+    except RecursionError:
+        raise ExpressionError("chart expression is nested too deeply") from None
+    n, d = len(trees), intrinsic_dim
+
+    def partials(u):
+        u = np.asarray(u, dtype=float)
+        batch = u.shape[:-1]
+        out = [
+            np.broadcast_to(np.asarray(v, dtype=float), batch)
+            for v in values(*(u[..., k] for k in range(d)))
+        ]
+        jac = np.stack(out[: n * d], axis=-1).reshape(batch + (n, d))
+        upper = np.stack(out[n * d :], axis=-1).reshape(batch + (n, len(pairs)))
+        hess = np.empty(batch + (n, d, d))
+        for p, (i, j) in enumerate(pairs):
+            hess[..., i, j] = hess[..., j, i] = upper[..., p]
+        return jac, hess
+
+    return partials

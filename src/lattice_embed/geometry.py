@@ -3,11 +3,14 @@
 A manifold is a parametric chart over a rectangular parameter box, with an
 analytic Jacobian.  The built-in constructors (plane, sphere, torus) attach
 their closed-form closest-point projection and Gaussian curvature to the spec
-as `projection_fn` and `curvature_fn`; a spec without them (every
-`parametric` chart) falls back to damped Gauss-Newton projection (seeded from
-a coarse parameter grid that each manifold evaluates once, periodic axes
-wrapping) and a finite-difference curvature pipeline built from central
-differences of the pullback metric.
+as `projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
+`parametric` chart) projects by damped Gauss-Newton, seeded from a coarse
+parameter grid that each manifold evaluates once, periodic axes wrapping.
+Parametric surfaces (d = 2) get an exact curvature_fn from the Gauss
+equation over their symbolic second partials.  The finite-difference
+curvature pipeline, built from central differences of the pullback metric,
+remains for charts with d >= 3 and as the `sectional_curvature(method="fd")`
+oracle.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .expressions import compile_chart
+from .expressions import compile_chart, compile_partials
 
 Array = np.ndarray
 
@@ -47,9 +50,11 @@ PARALLEL_TOL = 1e-8
 class ManifoldSpec:
     """Immutable description of a d-manifold embedded in R^n via one chart.
 
-    projection_fn (ambient q -> Projection) and curvature_fn (parameter u ->
-    Gaussian curvature) are the closed forms of a built-in; None means the
-    generic Gauss-Newton and finite-difference paths.
+    projection_fn (ambient q -> Projection) is the closed form of a built-in;
+    None means the generic Gauss-Newton path.  curvature_fn maps parameter
+    arrays (..., d) to the Gaussian curvature (...) of a surface: a closed
+    form for the built-ins, the Gauss equation for parametric surfaces, None
+    for d >= 3 charts.
     """
 
     kind: str
@@ -60,7 +65,7 @@ class ManifoldSpec:
     param_bounds: Array  # (d, 2) rows of (lower, upper)
     periodic: tuple[bool, ...] = ()
     projection_fn: Callable[[Array], "Projection"] | None = None
-    curvature_fn: Callable[[Array], float] | None = None
+    curvature_fn: Callable[[Array], Array] | None = None
 
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.param_bounds, dtype=float))
@@ -134,7 +139,7 @@ class ManifoldSpec:
                 [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
             ),
             projection_fn=project,
-            curvature_fn=lambda u: 0.0,
+            curvature_fn=lambda u: np.zeros(np.shape(u)[:-1])[()],
         )
 
     @classmethod
@@ -193,7 +198,7 @@ class ManifoldSpec:
             periodic=(False, True),
             jacobian_fn=jacobian,
             projection_fn=project,
-            curvature_fn=lambda u: 1.0 / (r * r),
+            curvature_fn=lambda u: np.full(np.shape(u)[:-1], 1.0 / (r * r))[()],
         )
 
     @classmethod
@@ -259,8 +264,8 @@ class ManifoldSpec:
             return Projection(point=np.asarray(chart(u), float), u=u)
 
         def curvature(u):
-            b = float(np.asarray(u, dtype=float).reshape(-1)[1])
-            return math.cos(b) / (small * (big + small * math.cos(b)))
+            cb = np.cos(np.asarray(u, dtype=float)[..., 1])
+            return cb / (small * (big + small * cb))
 
         return cls(
             kind="torus",
@@ -284,10 +289,14 @@ class ManifoldSpec:
         periodic: Sequence[bool] | None = None,
     ) -> "ManifoldSpec":
         """Chart from one expression string per ambient coordinate over the
-        parameters u1..ud; its Jacobian is differentiated symbolically."""
+        parameters u1..ud; its Jacobian is differentiated symbolically, and a
+        surface (d = 2) gets its Gaussian curvature from the Gauss equation."""
         bounds = np.asarray(bounds, dtype=float)
         d = bounds.shape[0]
         chart, jacobian = compile_chart(list(expressions), d)
+        curvature = None
+        if d == 2:
+            curvature = _gauss_curvature(compile_partials(list(expressions), d))
         return cls(
             kind="parametric",
             ambient_dim=len(expressions),
@@ -296,7 +305,43 @@ class ManifoldSpec:
             param_bounds=bounds,
             periodic=tuple(periodic) if periodic is not None else (),
             jacobian_fn=jacobian,
+            curvature_fn=curvature,
         )
+
+
+def _gauss_curvature(partials: Callable) -> Callable[[Array], Array]:
+    """Gaussian curvature of a chart surface in any codimension, from the
+    chart's first and second partials (u (..., 2) -> J, H).
+
+    The Gauss equation gives K = (<h11, h22> - |h12|^2) / det g, where
+    h_ij = X_ij - J g^-1 J^T X_ij is the normal part of the second partial
+    X_ij and g = J^T J (do Carmo, Riemannian Geometry, ch. 6).  Every sum
+    over the ambient axis runs elementwise in a fixed order, so a point gets
+    the same bits in any batch.
+    """
+
+    def curvature(u):
+        jac, hess = partials(u)
+        # ambient axis first: x[k] is coordinate k of every point in the batch
+        x1, x2 = np.moveaxis(jac[..., 0], -1, 0), np.moveaxis(jac[..., 1], -1, 0)
+
+        def dot(a, b):
+            return sum(a[k] * b[k] for k in range(len(a)))
+
+        g11, g12, g22 = dot(x1, x1), dot(x1, x2), dot(x2, x2)
+        det = g11 * g22 - g12 * g12
+
+        def normal_part(i, j):
+            v = np.moveaxis(hess[..., i, j], -1, 0)
+            a1, a2 = dot(x1, v), dot(x2, v)
+            c1 = (g22 * a1 - g12 * a2) / det
+            c2 = (g11 * a2 - g12 * a1) / det
+            return v - c1 * x1 - c2 * x2
+
+        h11, h12, h22 = normal_part(0, 0), normal_part(0, 1), normal_part(1, 1)
+        return (dot(h11, h22) - dot(h12, h12)) / det
+
+    return curvature
 
 
 def make_manifold(kind: str, **params) -> ManifoldSpec:
@@ -587,8 +632,9 @@ def riemann_apply(spec: ManifoldSpec, u, v, w, z=None) -> Array:
     return np.einsum("lijk,i,j,k->l", riemann, v, w, z)
 
 
-def gaussian_curvature(spec: ManifoldSpec, u) -> float:
-    """Closed-form Gaussian curvature, from the spec's curvature_fn."""
+def gaussian_curvature(spec: ManifoldSpec, u) -> Array:
+    """Gaussian curvature from the spec's curvature_fn, at one parameter
+    point (d,) or a batch (..., d) of them."""
     if spec.curvature_fn is None:
         raise DegeneratePlaneError(
             f"no closed-form curvature for manifold kind {spec.kind!r}"

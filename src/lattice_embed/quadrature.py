@@ -4,12 +4,14 @@ pullback.
 
 For surfaces (d = 2) the integral is (2 pi)^2 times the Gaussian curvature,
 since every non-parallel pair of tangent directions spans the same plane, so
-the rule's nodes are never read; the curvature is the spec's closed form when
-it has one and a finite-difference Riemann tensor otherwise.  Above d = 2 it
-is a quadrature over the rule's non-parallel node pairs, which each rule
-selects once.  Rules are memoized on (d, resolution, seed) and read-only.
-The ambient gradient is a central difference, with step _GRADIENT_STEP, of
-the integral at the closest points of shifted queries.
+the rule's nodes are never read; the curvature is exact, from the spec's
+curvature_fn (a closed form for the built-ins, the Gauss equation for
+parametric charts).  Above d = 2 it is a quadrature, over the rule's
+non-parallel node pairs (which each rule selects once), of sectional
+curvatures from a finite-difference Riemann tensor.  Rules are memoized on
+(d, resolution, seed) and read-only.  The ambient gradient is a central
+difference, with step _GRADIENT_STEP, of the integral at the closest points
+of shifted queries.
 """
 from __future__ import annotations
 
@@ -20,7 +22,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import AllPairsDegenerateError, BadResolutionError
-from .geometry import PARALLEL_TOL, ManifoldSpec, closest_point, curvature_tensor
+from .geometry import (
+    PARALLEL_TOL,
+    ManifoldSpec,
+    closest_point,
+    curvature_tensor,
+    gaussian_curvature,
+)
 
 Array = np.ndarray
 
@@ -121,10 +129,9 @@ def curvature_double_integral(
     """Total sectional curvature over tangent-direction pairs at chart(u).
 
     For surfaces every non-parallel pair spans the whole tangent plane, so
-    the integral is sphere_measure(2)**2 times the Gaussian curvature, and
-    the rule contributes only its dimension: the spec's closed-form
-    curvature_fn when it has one, otherwise <R(e1, e2)e2, e1> / det g from
-    one finite-difference Riemann tensor.
+    the integral is sphere_measure(2)**2 times the Gaussian curvature from
+    the spec's curvature_fn, and the rule contributes only its dimension; a
+    surface spec without a curvature_fn raises DegeneratePlaneError.
     Above d = 2 the rule's retained pairs (rule.pairs) are mapped through a
     metric-orthonormal basis of the tangent space, each pair's curvature is
     summed, and the retained weight mass is rescaled so the total pair
@@ -137,13 +144,7 @@ def curvature_double_integral(
             f"{spec.intrinsic_dim}"
         )
     if spec.intrinsic_dim == 2:
-        if spec.curvature_fn is not None:
-            k = spec.curvature_fn(u)
-        else:
-            g0, _, riemann = curvature_tensor(spec, u)
-            numerator = float(g0[:, 0] @ riemann[:, 0, 1, 1])
-            k = numerator / float(g0[0, 0] * g0[1, 1] - g0[0, 1] ** 2)
-        return sphere_measure(2) ** 2 * k
+        return float(sphere_measure(2) ** 2 * gaussian_curvature(spec, u))
     ii, jj = rule.pairs
     if ii.size == 0:
         raise AllPairsDegenerateError(

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from lattice_embed import cli, geometry
+from lattice_embed import cli, expressions, geometry
+from lattice_embed.expressions import compile_partials
 
 PLANE_SLAB = """
 manifold.kind = plane
@@ -88,17 +90,51 @@ def test_curvature_grid_graph_chart_closed_form(tmp_path):
     for line in lines[2:]:
         x, y, k, c = (float(v) for v in line.split(","))
         expected = graph_curvature(x, y)
-        assert abs(k - expected) <= 1e-5, (x, y, k, expected)
-        assert abs(c - (2 * math.pi) ** 2 * expected) <= 1e-5 * (2 * math.pi) ** 2
+        assert abs(k - expected) <= 1e-12, (x, y, k, expected)
+        assert abs(c - (2 * math.pi) ** 2 * expected) <= 1e-12 * (2 * math.pi) ** 2
 
 
-def test_curvature_one_riemann_tensor_per_grid_point(tmp_path, count_calls):
-    # K and C share one finite-difference Riemann tensor per grid point
-    calls = count_calls(geometry.curvature_tensor)
+def test_curvature_chart_grid_is_one_batched_gauss_call(
+    tmp_path, count_calls, monkeypatch
+):
+    # a chart surface builds no finite-difference Riemann tensor: its grid
+    # evaluates the second partials of all 16 points in one call
+    tensors = count_calls(geometry.curvature_tensor)
+    shapes = []
+
+    def recording(*args):
+        partials = compile_partials(*args)
+
+        def recorded(u):
+            shapes.append(np.shape(u))
+            return partials(u)
+
+        return recorded
+
+    monkeypatch.setattr(geometry, "compile_partials", recording)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, GRAPH_CHART + f"output.directory = {out}\n")
     assert cli.main(["curvature", cfg, "--grid", "4"]) == 0
-    assert len(calls) == 16
+    assert len(tensors) == 0
+    assert shapes == [(16, 2)]
+
+
+@pytest.mark.parametrize("command", ["embed", "curvature", "energy"])
+def test_each_command_compiles_the_chart_once(tmp_path, count_calls, command):
+    # the spec parse_config validates is the one the command runs on
+    compiles = count_calls(expressions.compile_chart)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        GRAPH_CHART
+        + "lattice.bounds = 0:0, 0:0, 0:0\n"
+        + f"output.directory = {out}\n",
+    )
+    probes = tmp_path / "probes.csv"
+    probes.write_text("0.1 0.2 0.05\n")
+    extra = {"curvature": ["--grid", "2"], "energy": ["--points", str(probes)]}
+    assert cli.main([command, cfg] + extra.get(command, [])) == 0
+    assert len(compiles) == 1
 
 
 def test_energy_probe_command(tmp_path):
@@ -173,6 +209,7 @@ def test_config_error_exit_code(tmp_path):
         "manifold.kind = parametric\nmanifold.chart = u1; u2; 0\n"
         "manifold.bounds = 1:0, -1:1\n",
         "manifold.kind = torus\nlattice.bounds = 0:1, 0:1\n",
+        "manifold.kind = sphere\nmanifold.R = 5\n",
         "manifold.kind = parametric\nmanifold.chart = u1; u2; "
         + "+".join(["u1"] * 3000)
         + "\nmanifold.bounds = -1:1, -1:1\n",
@@ -181,6 +218,7 @@ def test_config_error_exit_code(tmp_path):
         "torus-r-above-R",
         "parametric-lower-above-upper",
         "lattice-axes",
+        "sphere-with-R",
         "chart-nested-too-deeply",
     ],
 )
@@ -191,6 +229,8 @@ def test_bad_manifold_or_lattice_exit_code(tmp_path, capsys, text):
     assert err.startswith("configuration error: ") and "Traceback" not in err
     if "lattice.bounds" in text:
         assert "lattice.bounds" in err
+    if "manifold.R" in text:
+        assert "manifold.R" in err
 
 
 def test_lattice_axes_checked_only_by_embed(tmp_path):

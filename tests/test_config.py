@@ -160,6 +160,33 @@ def test_bad_manifold_values_are_config_errors(manifold):
     assert str(err.value).startswith("manifold: ")
 
 
+@pytest.mark.parametrize(
+    "manifold, key",
+    [
+        ("manifold.kind = sphere\nmanifold.R = 5\n", "R"),
+        ("manifold.kind = plane\nmanifold.r = 5\n", "r"),
+        ("manifold.kind = plane\nmanifold.chart = u1\n", "chart"),
+        ("manifold.kind = torus\nmanifold.bounds = 0:1, 0:1\n", "bounds"),
+        (
+            "manifold.kind = parametric\nmanifold.chart = u1; u2; 0\n"
+            "manifold.bounds = -1:1, -1:1\nmanifold.r = 1\n",
+            "r",
+        ),
+    ],
+    ids=["sphere-R", "plane-r", "plane-chart", "torus-bounds", "parametric-r"],
+)
+def test_keys_the_kind_does_not_read_are_config_errors(manifold, key):
+    # an ignored key would still change the digest of an identical run
+    with pytest.raises(ValidationError, match=f"^manifold\\.{key}: not read"):
+        parse_config(manifold)
+
+
+def test_manifold_built_once_per_config():
+    config = parse_config("manifold.kind = torus\n")
+    assert config.manifold() is config.manifold()
+    assert config == parse_config("manifold.kind = torus\n")
+
+
 def test_default_config_helper():
     config = default_config()
     assert config.get("manifold", "kind") == "plane"

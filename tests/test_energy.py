@@ -36,7 +36,9 @@ def test_params_validation():
         EnergyParams(gamma=-0.5)
     with pytest.raises(ValueError):
         EnergyParams(lam=-0.1)
-    for name in ("alpha", "beta", "gamma", "lam", "tube_radius"):
+    with pytest.raises(ValueError):
+        EnergyParams(mu=-0.2)
+    for name in ("alpha", "beta", "gamma", "lam", "mu", "tube_radius"):
         with pytest.raises(ValueError):
             EnergyParams(**{name: float("nan")})
 

@@ -458,6 +458,80 @@ def test_gaussian_curvature_torus_formula():
         )
 
 
+def graph_gaussian_curvature(x, y):
+    # K of the graph z = f(x, y) is (f_xx f_yy - f_xy^2) / (1 + f_x^2 + f_y^2)^2,
+    # here for f = 0.3 sin(2x) cos(y), the CHART_ALIGN chart
+    fx = 0.6 * math.cos(2 * x) * math.cos(y)
+    fy = -0.3 * math.sin(2 * x) * math.sin(y)
+    fxx = -1.2 * math.sin(2 * x) * math.cos(y)
+    fyy = -0.3 * math.sin(2 * x) * math.cos(y)
+    fxy = -0.6 * math.cos(2 * x) * math.sin(y)
+    return (fxx * fyy - fxy**2) / (1 + fx**2 + fy**2) ** 2
+
+
+def test_gauss_curvature_exact_up_to_the_box_edge():
+    # u = +-1 are the edges and corners of the box, where the
+    # finite-difference stencil does not fit
+    axis = np.linspace(-1.0, 1.0, 9)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    k = gaussian_curvature(CHART_ALIGN, grid)
+    assert k.shape == (81,)
+    for (x, y), value in zip(grid, k):
+        assert abs(value - graph_gaussian_curvature(x, y)) <= 1e-12, (x, y)
+    with pytest.raises(StencilOutOfDomainError):
+        sectional_curvature(
+            CHART_ALIGN, [1.0, 1.0], [1.0, 0.0], [0.0, 1.0], method="fd"
+        )
+
+
+@pytest.mark.parametrize(
+    "expressions, bounds, expected",
+    [
+        # the flat (Clifford) torus in R^4
+        (["cos(u1)", "sin(u1)", "cos(u2)", "sin(u2)"], [(0.0, 6.0), (0.0, 6.0)], 0.0),
+        # a unit-sphere patch in R^4 with a zero 4th coordinate
+        (
+            ["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)", "0"],
+            [(0.3, 2.8), (0.0, 6.0)],
+            1.0,
+        ),
+    ],
+    ids=["flat-torus", "sphere-patch"],
+)
+def test_gauss_curvature_in_codimension_two(expressions, bounds, expected):
+    spec = ManifoldSpec.parametric(bounds=bounds, expressions=expressions)
+    lo, hi = np.asarray(bounds).T
+    u = lo + (hi - lo) * np.random.default_rng(3).random((50, 2))
+    assert np.max(np.abs(gaussian_curvature(spec, u) - expected)) <= 1e-12
+
+
+def test_gauss_curvature_agrees_with_fd_oracle():
+    for u in ([0.3, -0.2], [-0.7, 0.55], [0.9, 0.9]):
+        e1, e2 = [1.0, 0.0], [0.0, 1.0]
+        k_fd = sectional_curvature(CHART_ALIGN, u, e1, e2, method="fd")
+        assert abs(k_fd - gaussian_curvature(CHART_ALIGN, u)) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PLANE, SPHERE, TORUS, CHART_ALIGN],
+    ids=["plane", "sphere", "torus", "chart"],
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    shares=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=12
+    )
+)
+def test_curvature_batch_equals_points_byte_for_byte(spec, shares):
+    lo, hi = spec.param_bounds.T
+    batch = lo + (hi - lo) * np.array(shares)
+    together = np.asarray(spec.curvature_fn(batch), dtype=float)
+    alone = np.array([spec.curvature_fn(u) for u in batch], dtype=float)
+    assert together.shape == (len(batch),)
+    assert together.tobytes() == alone.tobytes()
+
+
 def test_periodic_wrap_matches_curvature_across_seam():
     # poloidal angle 0 sits on the nominal boundary; periodic axes must wrap
     k_seam = sectional_curvature(TORUS, [1.0, 0.0], [1.0, 0.1], [0.2, 1.0], method="fd")

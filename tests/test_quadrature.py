@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_integral_convergence_monotone():
 
 def test_integral_determinism():
     rule = build_quadrature(2, 64)
-    # the graph chart has no closed form: this is the finite-difference path
+    # the graph chart's curvature comes from the Gauss equation
     a = curvature_double_integral(GRAPH, [0.3, -0.2], rule)
     b = curvature_double_integral(GRAPH, [0.3, -0.2], rule)
     assert a == b
@@ -216,6 +217,14 @@ def test_surface_integral_reads_no_node():
     assert curvature_double_integral(SPHERE, [1.2, 0.7], rule) == TWO_PI_SQ
     expected = TWO_PI_SQ * gaussian_curvature(TORUS, [1.0, 2.0])
     assert curvature_double_integral(TORUS, [1.0, 2.0], rule) == expected
+
+
+def test_surface_without_curvature_fn_rejected():
+    # d = 2 reads only the spec's curvature_fn; there is no fallback
+    rule = build_quadrature(2, 64)
+    bare = dataclasses.replace(GRAPH, curvature_fn=None)
+    with pytest.raises(DegeneratePlaneError):
+        curvature_double_integral(bare, [0.3, -0.2], rule)
 
 
 def test_dimension_mismatch_rejected():
