@@ -17,8 +17,7 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .energy import total_energy, total_gradient
 from .errors import ConfigError, LatticeEmbedError, ValidationError
-from .geometry import gaussian_curvature, sectional_curvature
-from .quadrature import curvature_double_integral, sphere_measure
+from .quadrature import mean_sectional_curvature, sphere_measure
 from .solver import embed_lattice
 from .validation import check_points_array
 
@@ -136,16 +135,11 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    if spec.intrinsic_dim == 2:
-        # every tangent pair spans the one plane: C = (2 pi)^2 K, and the
-        # whole grid takes one curvature call
-        k = gaussian_curvature(spec, points)
-        integral = sphere_measure(2) ** 2 * k
-    else:
-        rule = config.energy_params().rule_for(spec)
-        basis = np.eye(spec.intrinsic_dim)
-        k = [sectional_curvature(spec, u, basis[0], basis[1]) for u in points]
-        integral = [curvature_double_integral(spec, u, rule) for u in points]
+    # K is the mean sectional curvature (a surface's Gaussian curvature), and
+    # C = |S^{d-1}|^2 K is quadrature.curvature_double_integral from the
+    # same K: a surface grid takes one curvature call
+    k = mean_sectional_curvature(spec, points)
+    integral = sphere_measure(spec.intrinsic_dim) ** 2 * k
     rows = [list(u) + [float(ku), float(cu)] for u, ku, cu in zip(points, k, integral)]
     columns = [f"u{k + 1}" for k in range(spec.intrinsic_dim)] + ["K", "C"]
     out = _out_dir(config)

@@ -37,7 +37,10 @@ def _parse_bounds(text: str) -> tuple:
         pieces = part.split(":")
         if len(pieces) != 2:
             raise ValueError(f"bad bounds segment {part!r}")
-        out.append((float(pieces[0]), float(pieces[1])))
+        lo, hi = float(pieces[0]), float(pieces[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("not finite")
+        out.append((lo, hi))
     return tuple(out)
 
 
@@ -66,10 +69,6 @@ _SCHEMA: dict[str, dict] = {
     },
     "field": {
         "tube_radius": (float, 0.1, repr),
-    },
-    "quadrature": {
-        "resolution": (int, 64, repr),
-        "seed": (int, 0, repr),
     },
     "solver": {
         "max_iters": (int, 500, repr),
@@ -137,19 +136,13 @@ class RunConfig:
         return make_manifold(kind, **radii)
 
     def energy_params(self) -> EnergyParams:
-        e, f, quad = (
-            self.sections["energy"],
-            self.sections["field"],
-            self.sections["quadrature"],
-        )
+        e, f = self.sections["energy"], self.sections["field"]
         return EnergyParams(
             alpha=e["alpha"],
             beta=e["beta"],
             gamma=e["gamma"],
             lam=e["lambda"],
             tube_radius=f["tube_radius"],
-            quadrature_resolution=quad["resolution"],
-            quadrature_seed=quad["seed"],
         )
 
     def lattice(self) -> LatticeSpec:
@@ -189,8 +182,6 @@ def _validate(config: RunConfig) -> None:
     require("energy", "lambda", e["lambda"] >= 0.0, "must be nonnegative")
     f = config.sections["field"]
     require("field", "tube_radius", f["tube_radius"] > 0.0, "must be positive")
-    quad = config.sections["quadrature"]
-    require("quadrature", "resolution", quad["resolution"] >= 4, "must be >= 4")
     lat = config.sections["lattice"]
     require("lattice", "spacing", lat["spacing"] > 0.0, "must be positive")
     require(

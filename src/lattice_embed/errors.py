@@ -34,10 +34,6 @@ class BadResolutionError(LatticeEmbedError):
     """Quadrature resolution below the supported minimum."""
 
 
-class AllPairsDegenerateError(LatticeEmbedError):
-    """Every quadrature node pair was rejected as numerically parallel."""
-
-
 class OutOfHullError(LatticeEmbedError):
     """Query point lies outside the lattice bounding box."""
 

@@ -49,9 +49,9 @@ class LatticeEmbedder(BaseEstimator):
 
     Parameters mirror the energy functional and solver settings: alpha/beta
     weight the tangential/normal alignment, gamma the tangent-sphere
-    curvature integral, lam the tube-smoothing regularization; ``seed``
-    seeds that integral's quadrature rule.  ``manifold`` is a built-in name
-    (with ``manifold_params``) or a ready ManifoldSpec.
+    curvature integral, lam the tube-smoothing regularization.
+    ``manifold`` is a built-in name (with ``manifold_params``) or a ready
+    ManifoldSpec.
 
     After ``fit(X)`` the training embedding is available as ``embedding_``
     and the solve diagnostics as ``report_``; ``transform`` solves any batch
@@ -71,10 +71,8 @@ class LatticeEmbedder(BaseEstimator):
         gamma: float = 0.0,
         lam: float = 0.0,
         tube_radius: float = 0.1,
-        quadrature_resolution: int = 64,
         max_iters: int = 500,
         grad_tol: float = 1e-6,
-        seed: int = 0,
     ):
         self.manifold = manifold
         self.manifold_params = manifold_params
@@ -83,10 +81,8 @@ class LatticeEmbedder(BaseEstimator):
         self.gamma = gamma
         self.lam = lam
         self.tube_radius = tube_radius
-        self.quadrature_resolution = quadrature_resolution
         self.max_iters = max_iters
         self.grad_tol = grad_tol
-        self.seed = seed
 
     def _build(self) -> tuple[ManifoldSpec, EnergyParams, SolverConfig]:
         if isinstance(self.manifold, ManifoldSpec):
@@ -99,8 +95,6 @@ class LatticeEmbedder(BaseEstimator):
             gamma=self.gamma,
             lam=self.lam,
             tube_radius=self.tube_radius,
-            quadrature_resolution=self.quadrature_resolution,
-            quadrature_seed=self.seed,
         )
         config = SolverConfig(max_iters=self.max_iters, grad_tol=self.grad_tol)
         return spec, params, config

@@ -34,7 +34,8 @@ class ActivationField:
     tube_radius: float
 
     def __post_init__(self):
-        if self.tube_radius <= 0.0:
+        # negated comparison, so that NaN fails it
+        if not self.tube_radius > 0.0:
             raise ValueError("tube_radius must be positive")
 
 

@@ -75,6 +75,8 @@ class ManifoldSpec:
             raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
         if bounds.shape != (d, 2):
             raise ValueError(f"param_bounds must be ({d}, 2), got {bounds.shape}")
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError("param_bounds must be finite")
         if np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ValueError("each parameter axis needs lower < upper")
         if not self.periodic:
@@ -145,8 +147,8 @@ class ManifoldSpec:
     @classmethod
     def sphere(cls, radius: float = 1.0) -> "ManifoldSpec":
         """Round sphere of the given radius, colatitude/longitude chart."""
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("sphere radius must be positive and finite")
         r = float(radius)
 
         def chart(u):
@@ -206,8 +208,8 @@ class ManifoldSpec:
         cls, major_radius: float = 2.0, minor_radius: float = 0.5
     ) -> "ManifoldSpec":
         """Standard torus; u1 is the toroidal angle, u2 the poloidal angle."""
-        if not 0 < minor_radius < major_radius:
-            raise ValueError("torus needs 0 < minor_radius < major_radius")
+        if not (math.isfinite(major_radius) and 0 < minor_radius < major_radius):
+            raise ValueError("torus needs 0 < minor_radius < major_radius < inf")
         big, small = float(major_radius), float(minor_radius)
 
         def chart(u):

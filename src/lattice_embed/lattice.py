@@ -29,8 +29,11 @@ class LatticeSpec:
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
         object.__setattr__(self, "bounds", bounds)
-        if self.spacing <= 0.0:
+        # negated comparison, so that NaN fails it
+        if not self.spacing > 0.0:
             raise ValueError("spacing must be positive")
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError("lattice bounds must be finite")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise EmptyLatticeError("lattice bounds need lower <= upper per axis")
 
@@ -72,8 +75,8 @@ class EmbeddingEntry:
 class EmbeddingMap:
     """Finite association q -> zeta(q) plus per-point solve diagnostics.
 
-    The map carries no quadrature state: the run's one rule follows from the
-    energy parameters, so verify_stationarity rebuilds it from them."""
+    The map carries no energy state: the energy is a function of its
+    parameters alone, so verify_stationarity re-evaluates it from them."""
 
     entries: list[EmbeddingEntry]
 

@@ -2,9 +2,9 @@
 
 Each lattice point is an independent minimization of the three-term energy,
 seeded at the point itself; Armijo backtracking guarantees every accepted
-step strictly decreases the energy.  The energy takes its one quadrature rule
-from the energy parameters, so each point's result depends only on that point
-and the settings, never on its index or on the rest of the batch.
+step strictly decreases the energy.  The energy has no random part, so each
+point's result depends only on that point and the settings, never on its
+index or on the rest of the batch.
 """
 from __future__ import annotations
 
@@ -158,16 +158,13 @@ def embed_points(
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Run the per-point descent over an arbitrary batch of seed points.
 
-    The whole batch, and the quadrature rule params.rule_for(spec) when
-    gamma > 0, are checked before any point is solved.  Points
-    farther than twice the tube radius from M are outside the activation
-    support and are marked skipped.  Per-point solver errors never abort the
+    The whole batch is checked before any point is solved.  Points farther
+    than twice the tube radius from M are outside the activation support and
+    are marked skipped.  Per-point solver errors never abort the
     batch; output order follows input order.
     """
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     start = time.perf_counter()
-    if params.gamma != 0.0:
-        params.rule_for(spec)  # a rule that cannot be built fails the batch
     results = [_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
     entries = [entry for entry, _, _ in results]
     report = SolveReport()
@@ -207,37 +204,6 @@ def embed_lattice(
             f"{spec.ambient_dim}"
         )
     return embed_points(params, spec, points, config)
-
-
-def multi_start_agreement(
-    params: EnergyParams,
-    spec: ManifoldSpec,
-    q0,
-    config: SolverConfig,
-    *,
-    n_starts: int = 8,
-    jitter_radius: float = 0.01,
-    seed: int = 0,
-) -> float:
-    """Spread (max pairwise distance) of minimizers reached from jittered
-    copies of q0.  A reported diagnostic, not a uniqueness assertion: the
-    energy's minimizer set can be a continuum, so the spread is meaningful
-    relative to the jitter radius.
-    """
-    q0 = np.asarray(q0, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
-    solutions = [descend_point(params, spec, q0, config)[0]]
-    for _ in range(n_starts - 1):
-        jitter = rng.standard_normal(q0.shape[0])
-        jitter *= jitter_radius / max(float(np.linalg.norm(jitter)), 1e-300)
-        solutions.append(descend_point(params, spec, q0 + jitter, config)[0])
-    spread = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            spread = max(
-                spread, float(np.linalg.norm(solutions[i] - solutions[j]))
-            )
-    return spread
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,14 @@ from .energy import (
     total_gradient,
 )
 from .field import ActivationField, activation, regularization_gradient
-from .geometry import ManifoldSpec, closest_point, sectional_curvature, tangent_frame
+from .geometry import (
+    PARALLEL_TOL,
+    ManifoldSpec,
+    closest_point,
+    curvature_tensor,
+    sectional_curvature,
+    tangent_frame,
+)
 from .lattice import (
     EmbeddingMap,
     LatticeSpec,
@@ -34,7 +41,7 @@ from .lattice import (
     residual_jacobian_derivative,
 )
 from .solver import SolverConfig, descend_point, embed_lattice, verify_stationarity
-from .quadrature import build_quadrature, curvature_double_integral
+from .quadrature import build_quadrature, curvature_double_integral, sphere_measure
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2
 
@@ -135,31 +142,84 @@ def check_torus_curvature() -> str:
 
 # --- criterion 3 ------------------------------------------------------------
 
+SPHERE3 = ManifoldSpec.parametric(
+    bounds=[(0.3, 2.8), (0.3, 2.8), (0.0, 6.0)],
+    expressions=[
+        "cos(u1)",
+        "sin(u1)*cos(u2)",
+        "sin(u1)*sin(u2)*cos(u3)",
+        "sin(u1)*sin(u2)*sin(u3)",
+    ],
+)
+# a graph 3-manifold in R^4 with curvature of both signs
+G3 = ManifoldSpec.parametric(
+    bounds=[(-1.0, 1.0)] * 3,
+    expressions=["u1", "u2", "u3", "0.4*sin(u1)*cos(2*u2) + 0.3*u3*u3*u1"],
+)
+G3_POINT = np.array([0.2, -0.3, 0.4])
+
+
+def pair_curvatures(spec, u, a, b) -> np.ndarray:
+    """Sectional curvatures of the planes spanned by the rows of a and b,
+    unit directions mapped into a metric-orthonormal tangent frame at
+    chart(u), from the finite-difference Riemann tensor."""
+    g0, _, riemann = curvature_tensor(spec, u)
+    # B^T g0 B = I: metric inner products of B a equal Euclidean ones of a
+    basis = np.linalg.inv(np.linalg.cholesky(g0)).T
+    lowered = np.einsum("lm,lijk->mijk", g0, riemann)
+    va, vb = a @ basis.T, b @ basis.T
+    numer = np.einsum("mijk,pm,pi,pj,pk->p", lowered, va, va, vb, vb)
+    cos = np.sum(a * b, axis=1)
+    return numer / (1.0 - cos * cos)
+
+
+def all_pairs_integral(spec, u, rule) -> float:
+    """The tangent-sphere integral as the equal-weight sum over every pair of
+    the rule's nodes that spans a plane, rescaled to the full pair measure."""
+    cos = rule.nodes @ rule.nodes.T
+    ii, jj = np.nonzero(1.0 - cos * cos > PARALLEL_TOL)
+    kvals = pair_curvatures(spec, u, rule.nodes[ii], rule.nodes[jj])
+    return sphere_measure(rule.intrinsic_dim) ** 2 * float(np.mean(kvals))
+
 
 def check_curvature_integral() -> str:
     u = np.array([1.2, 0.7])
-    rule64 = build_quadrature(2, 64, seed=0)
-    rule256 = build_quadrature(2, 256, seed=0)
-
-    sphere1 = ManifoldSpec.sphere(1.0)
-    c64 = curvature_double_integral(sphere1, u, rule64)
-    err64 = abs(c64 - TWO_PI_SQ)
-    assert err64 <= 0.01 * TWO_PI_SQ, (c64, TWO_PI_SQ)
-
-    sphere2 = ManifoldSpec.sphere(2.0)
-    expected2 = TWO_PI_SQ / 4.0
-    c2 = curvature_double_integral(sphere2, u, rule64)
-    assert abs(c2 - expected2) <= 0.01 * expected2, (c2, expected2)
-
-    plane = ManifoldSpec.plane()
-    c_plane = curvature_double_integral(plane, np.array([0.3, -0.2]), rule64)
+    c1 = curvature_double_integral(ManifoldSpec.sphere(1.0), u)
+    assert abs(c1 - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ, (c1, TWO_PI_SQ)
+    c2 = curvature_double_integral(ManifoldSpec.sphere(2.0), u)
+    assert abs(c2 - TWO_PI_SQ / 4.0) <= 1e-12 * TWO_PI_SQ, (c2, TWO_PI_SQ / 4.0)
+    c_plane = curvature_double_integral(ManifoldSpec.plane(), np.array([0.3, -0.2]))
     assert abs(c_plane) <= 1e-8, c_plane
 
-    err256 = abs(curvature_double_integral(sphere1, u, rule256) - TWO_PI_SQ)
-    assert err256 <= err64, (err256, err64)
+    # every sectional curvature of the unit 3-sphere is 1
+    expected3 = sphere_measure(3) ** 2
+    c3 = curvature_double_integral(SPHERE3, np.array([1.1, 1.3, 2.0]))
+    rel3 = abs(c3 - expected3) / expected3
+    assert rel3 <= 1e-6, (c3, expected3)
+
+    # oracle: independent uniform direction pairs, each its own plane
+    closed = curvature_double_integral(G3, G3_POINT)
+    rng = np.random.default_rng(7)
+    a, b = (rng.standard_normal((400_000, 3)) for _ in range(2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    samples = sphere_measure(3) ** 2 * pair_curvatures(G3, G3_POINT, a, b)
+    mean = float(np.mean(samples))
+    stderr = float(np.std(samples)) / math.sqrt(samples.size)
+    z = abs(closed - mean) / stderr
+    assert z <= 4.0, (closed, mean, stderr)
+
+    # the all-pairs sum over one node set approaches the closed form
+    err64, err256 = (
+        abs(all_pairs_integral(G3, G3_POINT, build_quadrature(3, m, seed=0)) - closed)
+        for m in (64, 256)
+    )
+    assert err256 < err64, (err256, err64)
     return (
-        f"sphere r=1 err {err64:.2e}, r=2 value {c2:.4f}, plane {c_plane:.1e}, "
-        f"err256 {err256:.2e} <= err64 {err64:.2e}"
+        f"sphere r=1 err {abs(c1 - TWO_PI_SQ):.1e}, r=2 value {c2:.4f}, "
+        f"plane {c_plane:.1e}, unit 3-sphere rel err {rel3:.1e}; G3 "
+        f"{closed:.4f} vs random pairs {mean:.4f} +- {stderr:.4f} (z {z:.2f}), "
+        f"all-pairs err256 {err256:.2f} < err64 {err64:.2f}"
     )
 
 
@@ -369,7 +429,6 @@ _DETERMINISM_CONFIG = """
 manifold.kind = plane
 lattice.bounds = 0:0.4, 0:0.4, -0.1:0.1
 lattice.spacing = 0.1
-quadrature.seed = 7
 """
 
 
@@ -396,7 +455,7 @@ def check_determinism() -> str:
     assert outputs[0] == outputs[1], "embed outputs differ between identical runs"
 
     spec = ManifoldSpec.plane()
-    params = EnergyParams(tube_radius=0.1, quadrature_seed=7)
+    params = EnergyParams(tube_radius=0.1)
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.4], [0.0, 0.4], [-0.1, 0.1]]), spacing=0.1
     )

@@ -94,6 +94,28 @@ def test_curvature_grid_graph_chart_closed_form(tmp_path):
         assert abs(c - (2 * math.pi) ** 2 * expected) <= 1e-12 * (2 * math.pi) ** 2
 
 
+def test_curvature_three_dim_grid_is_closed_form(tmp_path):
+    # unit 3-sphere: every sectional curvature is 1, so K = 1 and
+    # C = |S^2|^2 = 16 pi^2 at every grid point, with no seed or rule
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "manifold.kind = parametric\n"
+        "manifold.chart = cos(u1); sin(u1)*cos(u2); sin(u1)*sin(u2)*cos(u3); "
+        "sin(u1)*sin(u2)*sin(u3)\n"
+        "manifold.bounds = 0.3:2.8, 0.3:2.8, 0:6\n"
+        f"output.directory = {out}\n",
+    )
+    assert cli.main(["curvature", cfg, "--grid", "2"]) == 0
+    lines = (out / "curvature.csv").read_text().splitlines()
+    assert lines[1] == "u1,u2,u3,K,C"
+    assert len(lines) == 2 + 8
+    for line in lines[2:]:
+        k, c = (float(v) for v in line.split(",")[3:])
+        assert abs(k - 1.0) <= 1e-6
+        assert abs(c - 16 * math.pi**2) <= 1e-6 * 16 * math.pi**2
+
+
 def test_curvature_chart_grid_is_one_batched_gauss_call(
     tmp_path, count_calls, monkeypatch
 ):

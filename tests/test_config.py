@@ -20,7 +20,6 @@ def test_minimal_sphere_config_gets_documented_defaults():
     assert config.get("energy", "gamma") == 0.0
     assert config.get("energy", "lambda") == 0.0
     assert config.get("field", "tube_radius") == 0.1
-    assert config.get("quadrature", "resolution") == 64
     assert config.get("solver", "grad_tol") == 1e-6
     spec = config.manifold()
     assert spec.kind == "sphere"
@@ -65,6 +64,8 @@ def test_unknown_key_named():
         ("field.fd_step = 1e-4", "fd_step", "field"),
         ("field.mu = 2", "mu", "field"),
         ("quadrature.eps_parallel = 1e-6", "eps_parallel", "quadrature"),
+        ("quadrature.resolution = 64", "resolution", "quadrature"),
+        ("quadrature.seed = 7", "seed", "quadrature"),
         ("solver.step = 0.2", "step", "solver"),
         ("output.formats = csv", "formats", "output"),
     ):
@@ -80,19 +81,27 @@ def test_unknown_section_named():
 
 def test_type_mismatch_named():
     with pytest.raises(TypeMismatchError) as err:
-        parse_config("manifold.kind = plane\nquadrature.resolution = many\n")
-    assert "quadrature.resolution" in str(err.value)
+        parse_config("manifold.kind = plane\nsolver.max_iters = many\n")
+    assert "solver.max_iters" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("lattice.bounds = 0:inf, 0:1, 0:0", "lattice.bounds"),
+        ("lattice.bounds = nan:1, 0:1, 0:0", "lattice.bounds"),
+        ("manifold.bounds = 0:inf, 0:1", "manifold.bounds"),
+    ],
+)
+def test_non_finite_bounds_named(text, key):
+    with pytest.raises(TypeMismatchError, match=f"^{key}: .*not finite"):
+        parse_config(f"manifold.kind = plane\n{text}\n")
 
 
 def test_negative_alpha_rejected_by_name():
     with pytest.raises(ValidationError) as err:
         parse_config("manifold.kind = plane\nenergy.alpha = -1\n")
     assert "energy.alpha" in str(err.value)
-
-
-def test_resolution_minimum():
-    with pytest.raises(ValidationError):
-        parse_config("manifold.kind = plane\nquadrature.resolution = 2\n")
 
 
 def test_roundtrip_serialization():
@@ -103,7 +112,7 @@ def test_roundtrip_serialization():
     lattice.bounds = -1:1, -1:1, -0.25:0.25
     lattice.spacing = 0.5
     energy.gamma = 0.125
-    quadrature.seed = 42
+    solver.max_iters = 42
     """
     config = parse_config(text)
     again = parse_config(config.to_text())
@@ -192,7 +201,7 @@ def test_default_config_helper():
     assert config.get("manifold", "kind") == "plane"
     assert config.lattice().axis_counts == (5, 5, 1)
     assert config.solver().grad_tol == 1e-6
-    assert config.energy_params().quadrature_resolution == 64
+    assert config.energy_params().tube_radius == 0.1
 
 
 def test_readme_ini_blocks_parse():

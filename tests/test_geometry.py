@@ -13,7 +13,9 @@ from lattice_embed.errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
+from lattice_embed.estimator import LatticeEmbedder
 from lattice_embed.expressions import compile_chart
+from lattice_embed.field import ActivationField
 from lattice_embed.geometry import (
     ManifoldSpec,
     chart_eval,
@@ -27,6 +29,7 @@ from lattice_embed.geometry import (
     sectional_curvature,
     tangent_frame,
 )
+from lattice_embed.lattice import LatticeSpec
 
 PLANE = ManifoldSpec.plane()
 SPHERE = ManifoldSpec.sphere(1.0)
@@ -66,6 +69,40 @@ def test_make_manifold_dispatch():
     assert np.allclose(chart_eval(spec, [0.0, 0.0]), [0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         make_manifold("mystery")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ManifoldSpec.sphere(math.inf),
+        lambda: ManifoldSpec.sphere(math.nan),
+        lambda: ManifoldSpec.torus(math.inf, 0.5),
+        lambda: ManifoldSpec.torus(2.0, math.nan),
+        lambda: ActivationField(PLANE, math.nan),
+        lambda: LatticeSpec(bounds=[[0.0, 1.0]], spacing=math.nan),
+        lambda: LatticeSpec(bounds=[[0.0, math.inf]], spacing=0.1),
+        lambda: ManifoldSpec.parametric([(0.0, math.inf), (0.0, 1.0)], ["u1", "u2", "0"]),
+        lambda: LatticeEmbedder("sphere", manifold_params={"radius": math.inf}).fit(
+            np.zeros((1, 3))
+        ),
+    ],
+    ids=[
+        "sphere-inf",
+        "sphere-nan",
+        "torus-R-inf",
+        "torus-r-nan",
+        "field-nan",
+        "lattice-spacing-nan",
+        "lattice-bounds-inf",
+        "chart-bounds-inf",
+        "estimator-radius-inf",
+    ],
+)
+def test_non_finite_constructor_inputs_rejected(build):
+    # each would otherwise build a chart of infinities, fail in the rank sweep
+    # with LinAlgError, or fail later with an unrelated message
+    with pytest.raises(ValueError, match="must be positive|< inf|must be finite"):
+        build()
 
 
 def test_expression_chart_jacobian_is_analytic():
