@@ -17,7 +17,8 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .energy import total_energy, total_gradient
 from .errors import ConfigError, LatticeEmbedError, ValidationError
-from .quadrature import mean_sectional_curvature, sphere_measure
+from .geometry import mean_sectional_curvature
+from .quadrature import sphere_measure
 from .solver import embed_lattice
 from .validation import check_points_array
 
@@ -127,8 +128,7 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     if grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {grid}")
     spec = config.manifold()
-    # cell centers keep off chart degeneracies (the sphere's poles) and keep
-    # the finite-difference stencil of d >= 3 charts inside the box
+    # cell centers keep off chart degeneracies such as the sphere's poles
     axes = [
         lo + (np.arange(grid) + 0.5) * (hi - lo) / grid
         for lo, hi in spec.param_bounds
@@ -137,7 +137,7 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
     points = np.stack([g.ravel() for g in grids], axis=-1)
     # K is the mean sectional curvature (a surface's Gaussian curvature), and
     # C = |S^{d-1}|^2 K is quadrature.curvature_double_integral from the
-    # same K: a surface grid takes one curvature call
+    # same K: the whole grid takes one curvature call
     k = mean_sectional_curvature(spec, points)
     integral = sphere_measure(spec.intrinsic_dim) ** 2 * k
     rows = [list(u) + [float(ku), float(cu)] for u, ku, cu in zip(points, k, integral)]

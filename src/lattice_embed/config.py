@@ -284,6 +284,11 @@ def parse_config(text: str) -> RunConfig:
         raise
     except (LatticeEmbedError, ValueError) as exc:
         raise ValidationError(f"manifold: {exc}") from exc
+    if config.manifold().intrinsic_dim < 2 and sections["energy"]["gamma"] > 0.0:
+        raise ValidationError(
+            "energy.gamma: a curve has no sectional curvature; "
+            "the curvature term needs dimension >= 2"
+        )
     return config
 
 

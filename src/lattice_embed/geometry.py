@@ -6,11 +6,11 @@ their closed-form closest-point projection and Gaussian curvature to the spec
 as `projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
 `parametric` chart) projects by damped Gauss-Newton, seeded from a coarse
 parameter grid that each manifold evaluates once, periodic axes wrapping.
-Parametric surfaces (d = 2) get an exact curvature_fn from the Gauss
-equation over their symbolic second partials.  The finite-difference
-curvature pipeline, built from central differences of the pullback metric,
-remains for charts with d >= 3 and as the `sectional_curvature(method="fd")`
-oracle.
+Parametric charts of every dimension d >= 2 get an exact curvature_fn, the
+mean sectional curvature from the Gauss equation over their symbolic second
+partials.  The finite-difference curvature pipeline, built from central
+differences of the pullback metric, remains as the reference oracle
+(`curvature_tensor`, `riemann_apply`, `sectional_curvature(method="fd")`).
 """
 from __future__ import annotations
 
@@ -52,9 +52,10 @@ class ManifoldSpec:
 
     projection_fn (ambient q -> Projection) is the closed form of a built-in;
     None means the generic Gauss-Newton path.  curvature_fn maps parameter
-    arrays (..., d) to the Gaussian curvature (...) of a surface: a closed
-    form for the built-ins, the Gauss equation for parametric surfaces, None
-    for d >= 3 charts.
+    arrays (..., d) to the mean sectional curvature Scal / (d (d - 1)) (...),
+    which for a surface is its Gaussian curvature: a closed form for the
+    built-ins, the Gauss equation for parametric charts with d >= 2, None for
+    curves.
     """
 
     kind: str
@@ -292,13 +293,11 @@ class ManifoldSpec:
     ) -> "ManifoldSpec":
         """Chart from one expression string per ambient coordinate over the
         parameters u1..ud; its Jacobian is differentiated symbolically, and a
-        surface (d = 2) gets its Gaussian curvature from the Gauss equation."""
+        chart with d >= 2 gets its mean sectional curvature from the Gauss
+        equation."""
         bounds = np.asarray(bounds, dtype=float)
         d = bounds.shape[0]
         chart, jacobian = compile_chart(list(expressions), d)
-        curvature = None
-        if d == 2:
-            curvature = _gauss_curvature(compile_partials(list(expressions), d))
         return cls(
             kind="parametric",
             ambient_dim=len(expressions),
@@ -307,41 +306,52 @@ class ManifoldSpec:
             param_bounds=bounds,
             periodic=tuple(periodic) if periodic is not None else (),
             jacobian_fn=jacobian,
-            curvature_fn=curvature,
+            curvature_fn=(
+                _gauss_equation(compile_partials(list(expressions), d), d)
+                if d >= 2
+                else None
+            ),
         )
 
 
-def _gauss_curvature(partials: Callable) -> Callable[[Array], Array]:
-    """Gaussian curvature of a chart surface in any codimension, from the
-    chart's first and second partials (u (..., 2) -> J, H).
+def _inner(a: Array, b: Array) -> Array:
+    # batched dot products over the last axis, one matmul per point, so a
+    # point gets the same bits alone and in any batch
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    The Gauss equation gives K = (<h11, h22> - |h12|^2) / det g, where
+
+def _gauss_equation(partials: Callable, d: int) -> Callable[[Array], Array]:
+    """Mean sectional curvature Scal / (d (d - 1)) of a chart d-manifold in
+    any codimension, from its first and second partials (u (..., d) -> J, H).
+
+    The Gauss equation gives Scal = |H|^2 - g^ik g^jl <h_ij, h_kl>, where
     h_ij = X_ij - J g^-1 J^T X_ij is the normal part of the second partial
-    X_ij and g = J^T J (do Carmo, Riemannian Geometry, ch. 6).  Every sum
-    over the ambient axis runs elementwise in a fixed order, so a point gets
-    the same bits in any batch.
+    X_ij, g = J^T J and H = g^ij h_ij (do Carmo, Riemannian Geometry, ch. 6);
+    for a surface the result is the Gaussian curvature K.  A point whose
+    normalized Gram determinant det g / prod_i g_ii is at most PARALLEL_TOL
+    raises RankDeficientError.
     """
 
     def curvature(u):
         jac, hess = partials(u)
-        # ambient axis first: x[k] is coordinate k of every point in the batch
-        x1, x2 = np.moveaxis(jac[..., 0], -1, 0), np.moveaxis(jac[..., 1], -1, 0)
-
-        def dot(a, b):
-            return sum(a[k] * b[k] for k in range(len(a)))
-
-        g11, g12, g22 = dot(x1, x1), dot(x1, x2), dot(x2, x2)
-        det = g11 * g22 - g12 * g12
-
-        def normal_part(i, j):
-            v = np.moveaxis(hess[..., i, j], -1, 0)
-            a1, a2 = dot(x1, v), dot(x2, v)
-            c1 = (g22 * a1 - g12 * a2) / det
-            c2 = (g11 * a2 - g12 * a1) / det
-            return v - c1 * x1 - c2 * x2
-
-        h11, h12, h22 = normal_part(0, 0), normal_part(0, 1), normal_part(1, 1)
-        return (dot(h11, h22) - dot(h12, h12)) / det
+        jac_t = np.swapaxes(jac, -1, -2)
+        g = jac_t @ jac
+        scale = np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1)
+        singular = ~(np.linalg.det(g) > PARALLEL_TOL * scale)
+        if np.any(singular):
+            at = np.asarray(u, dtype=float)[singular][0]
+            raise RankDeficientError(f"chart metric singular at u={at}")
+        ginv = np.linalg.inv(g)
+        batch, n = jac.shape[:-2], jac.shape[-2]
+        second = hess.reshape(batch + (n, d * d))
+        normal = second - jac @ (ginv @ (jac_t @ second))
+        mean = (normal @ ginv.reshape(batch + (d * d, 1)))[..., 0]
+        # per ambient axis a, the shape operator g^-1 h^a; the squared norm
+        # of h is the sum over a of tr(g^-1 h^a g^-1 h^a)
+        shape = ginv[..., None, :, :] @ normal.reshape(batch + (n, d, d))
+        flat = shape.reshape(batch + (n * d * d,))
+        flat_t = np.swapaxes(shape, -1, -2).reshape(batch + (n * d * d,))
+        return (_inner(mean, mean) - _inner(flat, flat_t)) / (d * (d - 1))
 
     return curvature
 
@@ -634,12 +644,18 @@ def riemann_apply(spec: ManifoldSpec, u, v, w, z=None) -> Array:
     return np.einsum("lijk,i,j,k->l", riemann, v, w, z)
 
 
-def gaussian_curvature(spec: ManifoldSpec, u) -> Array:
-    """Gaussian curvature from the spec's curvature_fn, at one parameter
-    point (d,) or a batch (..., d) of them."""
+def mean_sectional_curvature(spec: ManifoldSpec, u) -> Array:
+    """Scal / (d (d - 1)), the mean sectional curvature over the tangent
+    2-planes at chart(u) (a surface's Gaussian curvature), from the spec's
+    curvature_fn, at one parameter point (d,) or a batch (..., d) of them.
+    A spec without one, such as a curve, raises DegeneratePlaneError."""
+    u = np.asarray(u, dtype=float)
+    d = spec.intrinsic_dim
+    if u.ndim == 0 or u.shape[-1] != d:
+        raise ValueError(f"parameter points need {d} coordinates, not {u.shape}")
     if spec.curvature_fn is None:
         raise DegeneratePlaneError(
-            f"no closed-form curvature for manifold kind {spec.kind!r}"
+            f"no curvature for this {spec.kind!r} manifold of dimension {d}"
         )
     return spec.curvature_fn(u)
 
@@ -680,8 +696,10 @@ def sectional_curvature(
     """Sectional curvature K(v, w) = <R(v,w)w, v> / (<v,v><w,w> - <v,w>^2)
     in the pullback metric, for chart-coordinate tangent vectors v, w.
 
-    method "auto" uses the spec's closed-form curvature_fn when it has one
-    and the finite-difference pipeline otherwise; "fd" forces the pipeline.
+    method "auto" uses the spec's curvature_fn on a surface that has one
+    (every plane of a surface has the Gaussian curvature; above d = 2 the
+    curvature_fn's mean is no plane's curvature) and the finite-difference
+    pipeline otherwise; "fd" forces the pipeline.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -690,7 +708,8 @@ def sectional_curvature(
     a, b = _canonical_pair(g, v, w)
     if method not in ("auto", "fd"):
         raise ValueError(f"unknown curvature method {method!r}")
-    if method == "auto" and spec.curvature_fn is not None:
+    surface = spec.intrinsic_dim == 2 and spec.curvature_fn is not None
+    if method == "auto" and surface:
         return spec.curvature_fn(u)
     g0, _, riemann = curvature_tensor(spec, u)
     numerator = float(np.einsum("lm,lijk,i,j,k,m->", g0, riemann, a, b, b, a))

@@ -9,12 +9,12 @@ gives, for every d >= 2,
 
     C = |S^{d-1}|^2 Scal / (d (d - 1)).
 
-For surfaces Scal = 2K, with K exact from the spec's curvature_fn (a closed
-form for the built-ins, the Gauss equation for parametric charts), so C is
-(2 pi)^2 K and a whole grid of points takes one curvature_fn call.  Above
-d = 2 Scal is contracted from the finite-difference Riemann tensor, one
-tensor per point.  The ambient gradient is a central difference, with step
-_GRADIENT_STEP, of the integral at the closest points of shifted queries.
+The mean sectional curvature Scal / (d (d - 1)) comes exact from the spec's
+curvature_fn (a closed form for the built-ins, the Gauss equation for
+parametric charts), so a whole grid of points takes one call; for surfaces
+C is (2 pi)^2 K.  The ambient gradient is a central difference, with step
+_GRADIENT_STEP, of the integral at the closest points of shifted queries,
+all of them in one batch.
 
 The equal-weight rules of build_quadrature are not part of the energy; their
 nodes feed the all-pairs oracle of acceptance criterion 3.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadResolutionError
-from .geometry import ManifoldSpec, closest_point, curvature_tensor, gaussian_curvature
+from .geometry import ManifoldSpec, closest_point, mean_sectional_curvature
 
 Array = np.ndarray
 
@@ -86,30 +86,6 @@ def build_quadrature(d: int, resolution: int, seed: int = 0) -> QuadratureRule:
     return rule
 
 
-def _scalar_curvature(spec: ManifoldSpec, u: Array) -> float:
-    """Scal = g^{jk} R^i_{ijk} from the finite-difference Riemann tensor."""
-    g0, _, riemann = curvature_tensor(spec, u)
-    return float(np.einsum("jk,iijk->", np.linalg.inv(g0), riemann))
-
-
-def mean_sectional_curvature(spec: ManifoldSpec, u) -> Array:
-    """Scal / (d (d - 1)), the mean sectional curvature over the tangent
-    2-planes at chart(u), at one parameter point (d,) or a batch (..., d).
-
-    For a surface Scal = 2K, so this is the Gaussian curvature K from the
-    spec's curvature_fn; a surface spec without one raises
-    DegeneratePlaneError.
-    """
-    u = np.asarray(u, dtype=float)
-    d = spec.intrinsic_dim
-    if u.ndim == 0 or u.shape[-1] != d:
-        raise ValueError(f"parameter points need {d} coordinates, not {u.shape}")
-    if d == 2:
-        return gaussian_curvature(spec, u)
-    scal = [_scalar_curvature(spec, point) for point in u.reshape(-1, d)]
-    return np.reshape(scal, u.shape[:-1]) / (d * (d - 1))
-
-
 def curvature_double_integral(spec: ManifoldSpec, u):
     """Total sectional curvature over pairs of unit tangent directions at
     chart(u), C = |S^{d-1}|^2 Scal / (d (d - 1)): a float at one parameter
@@ -121,15 +97,12 @@ def curvature_double_integral(spec: ManifoldSpec, u):
 
 def curvature_integral_gradient(spec: ManifoldSpec, q) -> Array:
     """Central-difference ambient gradient of the pullback integral at q,
-    the integral being taken at the closest point on M of each shifted q."""
+    the integral being taken, in one batch, at the closest point on M of
+    each shifted q."""
     q = np.asarray(q, dtype=float).reshape(-1)
-    grad = np.zeros_like(q)
-    for k in range(q.shape[0]):
-        offset = np.zeros_like(q)
-        offset[k] = _GRADIENT_STEP
-        c_plus, c_minus = (
-            curvature_double_integral(spec, closest_point(spec, x).u)
-            for x in (q + offset, q - offset)
-        )
-        grad[k] = (c_plus - c_minus) / (2.0 * _GRADIENT_STEP)
-    return grad
+    n = q.shape[0]
+    steps = _GRADIENT_STEP * np.eye(n)
+    shifted = np.concatenate([q + steps, q - steps])
+    u = np.array([closest_point(spec, x).u for x in shifted])
+    values = curvature_double_integral(spec, u)
+    return (values[:n] - values[n:]) / (2.0 * _GRADIENT_STEP)

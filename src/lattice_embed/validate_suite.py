@@ -195,7 +195,7 @@ def check_curvature_integral() -> str:
     expected3 = sphere_measure(3) ** 2
     c3 = curvature_double_integral(SPHERE3, np.array([1.1, 1.3, 2.0]))
     rel3 = abs(c3 - expected3) / expected3
-    assert rel3 <= 1e-6, (c3, expected3)
+    assert rel3 <= 1e-12, (c3, expected3)
 
     # oracle: independent uniform direction pairs, each its own plane
     closed = curvature_double_integral(G3, G3_POINT)

@@ -94,9 +94,11 @@ def test_curvature_grid_graph_chart_closed_form(tmp_path):
         assert abs(c - (2 * math.pi) ** 2 * expected) <= 1e-12 * (2 * math.pi) ** 2
 
 
-def test_curvature_three_dim_grid_is_closed_form(tmp_path):
+def test_curvature_three_dim_grid_is_closed_form(tmp_path, count_calls):
     # unit 3-sphere: every sectional curvature is 1, so K = 1 and
-    # C = |S^2|^2 = 16 pi^2 at every grid point, with no seed or rule
+    # C = |S^2|^2 = 16 pi^2 at every grid point, from the Gauss equation
+    # with no finite-difference Riemann tensor
+    tensors = count_calls(geometry.curvature_tensor)
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
@@ -112,8 +114,9 @@ def test_curvature_three_dim_grid_is_closed_form(tmp_path):
     assert len(lines) == 2 + 8
     for line in lines[2:]:
         k, c = (float(v) for v in line.split(",")[3:])
-        assert abs(k - 1.0) <= 1e-6
-        assert abs(c - 16 * math.pi**2) <= 1e-6 * 16 * math.pi**2
+        assert abs(k - 1.0) <= 1e-12
+        assert abs(c - 16 * math.pi**2) <= 1e-12 * 16 * math.pi**2
+    assert tensors == []
 
 
 def test_curvature_chart_grid_is_one_batched_gauss_call(
@@ -297,3 +300,54 @@ def test_skipped_lattice_reports_zero_attempted(tmp_path, capsys):
     report = (out / "report.jsonl").read_text().splitlines()
     assert '"attempted": 0' in report[0]
     assert '"skipped": 25' in report[0]
+
+
+HELIX = """
+manifold.kind = parametric
+manifold.chart = cos(u1); sin(u1); 0.2*u1
+manifold.bounds = 0:6
+"""
+
+
+def test_curve_curvature_is_an_error(tmp_path, capsys):
+    # a curve has no tangent 2-plane: exit 1 and no NaN rows
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, HELIX + f"output.directory = {out}\n")
+    assert cli.main(["curvature", cfg, "--grid", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (out / "curvature.csv").exists()
+
+
+def test_curve_with_curvature_term_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, HELIX + "energy.gamma = 0.02\n")
+    assert cli.main(["embed", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: energy.gamma")
+
+
+def test_embed_reports_points_at_a_singular_chart_metric(tmp_path, capsys):
+    # the lattice point on the polar axis projects onto the pole u1 = 0 of a
+    # colatitude chart, where the curvature term has no value: that point
+    # is an error, its neighbours descend, and the files are written
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "manifold.kind = parametric\n"
+        "manifold.chart = sin(u1)*cos(u2); sin(u1)*sin(u2); cos(u1)\n"
+        "manifold.bounds = 0:3.14159, 0:6.28318\n"
+        "energy.gamma = 0.02\n"
+        "lattice.bounds = -0.1:0.1, 0:0, 1.05:1.05\n"
+        "lattice.spacing = 0.1\n"
+        "solver.max_iters = 5\n"
+        f"output.directory = {out}\n",
+    )
+    assert cli.main(["embed", cfg]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    points = (out / "points.csv").read_text().splitlines()[2:]
+    assert [line.split(",")[-2:] for line in points] == [
+        ["5", "false"],
+        ["0", "false"],
+        ["5", "false"],
+    ]
+    assert len((out / "report.jsonl").read_text().splitlines()) == 1 + 3

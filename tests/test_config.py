@@ -104,6 +104,18 @@ def test_negative_alpha_rejected_by_name():
     assert "energy.alpha" in str(err.value)
 
 
+def test_curvature_term_on_a_curve_rejected_by_name():
+    # a curve has no tangent 2-plane; gamma = 0 is still a valid curve run
+    curve = (
+        "manifold.kind = parametric\n"
+        "manifold.chart = cos(u1); sin(u1); 0.2*u1\n"
+        "manifold.bounds = 0:6\n"
+    )
+    with pytest.raises(ValidationError, match="^energy.gamma: "):
+        parse_config(curve + "energy.gamma = 0.02\n")
+    assert parse_config(curve).manifold().intrinsic_dim == 1
+
+
 def test_roundtrip_serialization():
     text = """
     manifold.kind = torus

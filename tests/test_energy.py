@@ -17,6 +17,7 @@ from lattice_embed.energy import (
 )
 from lattice_embed.errors import IndeterminateError, NoSolutionError
 from lattice_embed.geometry import ManifoldSpec, closest_point, tangent_frame
+from lattice_embed.validate_suite import G3
 
 PLANE = ManifoldSpec.plane()
 SPHERE = ManifoldSpec.sphere(1.0)
@@ -272,3 +273,14 @@ def test_reduced_closure_property():
         assert sol.consistent
         res = reduced_residual(q, sol.lambda_star, curvature)
         assert np.linalg.norm(res) <= 1e-12
+
+
+def test_three_dim_curvature_term_builds_no_riemann_tensor(count_calls):
+    # with gamma > 0 on the graph 3-manifold G3, the energy and its gradient
+    # read the Gauss-equation curvature only
+    tensors = count_calls(geometry.curvature_tensor)
+    params = EnergyParams(alpha=1.0, beta=1.0, gamma=0.02, lam=0.0)
+    q = np.array([0.25, -0.3, 0.35, 0.1])
+    assert math.isfinite(total_energy(params, G3, q))
+    assert np.all(np.isfinite(total_gradient(params, G3, q)))
+    assert tensors == []

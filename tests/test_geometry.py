@@ -21,8 +21,9 @@ from lattice_embed.geometry import (
     chart_eval,
     chart_jacobian,
     closest_point,
+    curvature_tensor,
     decompose,
-    gaussian_curvature,
+    mean_sectional_curvature,
     make_manifold,
     metric,
     riemann_apply,
@@ -30,6 +31,7 @@ from lattice_embed.geometry import (
     tangent_frame,
 )
 from lattice_embed.lattice import LatticeSpec
+from lattice_embed.validate_suite import G3, G3_POINT, SPHERE3
 
 PLANE = ManifoldSpec.plane()
 SPHERE = ManifoldSpec.sphere(1.0)
@@ -276,9 +278,9 @@ def test_builtin_without_closed_forms_takes_generic_path():
         assert np.linalg.norm(proj.point - closest_point(TORUS, q).point) <= 1e-7
     assert "seed_grid" in vars(generic)  # Gauss-Newton ran from its seed grid
     with pytest.raises(DegeneratePlaneError):
-        gaussian_curvature(generic, [1.0, 2.0])
+        mean_sectional_curvature(generic, [1.0, 2.0])
     k_fd = sectional_curvature(generic, [1.0, 2.0], [1.0, 0.0], [0.0, 1.0])
-    assert abs(k_fd - gaussian_curvature(TORUS, [1.0, 2.0])) <= 1e-4
+    assert abs(k_fd - mean_sectional_curvature(TORUS, [1.0, 2.0])) <= 1e-4
 
 
 def test_closest_point_degenerate_sphere_center_warns():
@@ -368,6 +370,10 @@ def test_periodic_chart_projection_crosses_both_seams(a, b, radius):
 CHART_ALIGN = ManifoldSpec.parametric(
     bounds=[(-1.0, 1.0), (-1.0, 1.0)],
     expressions=["u1", "u2", "0.3*sin(2*u1)*cos(u2)"],
+)
+S2_TIMES_R = ManifoldSpec.parametric(
+    bounds=[(0.3, 2.8), (0.0, 6.0), (-1.0, 1.0)],
+    expressions=["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)", "u3"],
 )
 
 
@@ -490,7 +496,7 @@ def test_sectional_stencil_guard_near_sphere_pole():
 
 def test_gaussian_curvature_torus_formula():
     for pol, expected in ((0.0, 0.8), (math.pi / 2, 0.0), (math.pi, -4.0 / 3.0)):
-        assert gaussian_curvature(TORUS, [0.3, pol]) == pytest.approx(
+        assert mean_sectional_curvature(TORUS, [0.3, pol]) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -511,7 +517,7 @@ def test_gauss_curvature_exact_up_to_the_box_edge():
     # finite-difference stencil does not fit
     axis = np.linspace(-1.0, 1.0, 9)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    k = gaussian_curvature(CHART_ALIGN, grid)
+    k = mean_sectional_curvature(CHART_ALIGN, grid)
     assert k.shape == (81,)
     for (x, y), value in zip(grid, k):
         assert abs(value - graph_gaussian_curvature(x, y)) <= 1e-12, (x, y)
@@ -539,34 +545,109 @@ def test_gauss_curvature_in_codimension_two(expressions, bounds, expected):
     spec = ManifoldSpec.parametric(bounds=bounds, expressions=expressions)
     lo, hi = np.asarray(bounds).T
     u = lo + (hi - lo) * np.random.default_rng(3).random((50, 2))
-    assert np.max(np.abs(gaussian_curvature(spec, u) - expected)) <= 1e-12
+    assert np.max(np.abs(mean_sectional_curvature(spec, u) - expected)) <= 1e-12
 
 
 def test_gauss_curvature_agrees_with_fd_oracle():
     for u in ([0.3, -0.2], [-0.7, 0.55], [0.9, 0.9]):
         e1, e2 = [1.0, 0.0], [0.0, 1.0]
         k_fd = sectional_curvature(CHART_ALIGN, u, e1, e2, method="fd")
-        assert abs(k_fd - gaussian_curvature(CHART_ALIGN, u)) <= 1e-5
+        assert abs(k_fd - mean_sectional_curvature(CHART_ALIGN, u)) <= 1e-5
 
 
 @pytest.mark.parametrize(
     "spec",
-    [PLANE, SPHERE, TORUS, CHART_ALIGN],
-    ids=["plane", "sphere", "torus", "chart"],
+    [PLANE, SPHERE, TORUS, CHART_ALIGN, G3, SPHERE3],
+    ids=["plane", "sphere", "torus", "chart", "g3", "sphere3"],
 )
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
-    shares=st.lists(
-        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=12
-    )
+    shares=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=12)
 )
 def test_curvature_batch_equals_points_byte_for_byte(spec, shares):
     lo, hi = spec.param_bounds.T
-    batch = lo + (hi - lo) * np.array(shares)
+    batch = lo + (hi - lo) * np.array(shares)[:, : spec.intrinsic_dim]
     together = np.asarray(spec.curvature_fn(batch), dtype=float)
     alone = np.array([spec.curvature_fn(u) for u in batch], dtype=float)
     assert together.shape == (len(batch),)
     assert together.tobytes() == alone.tobytes()
+
+
+def g3_mean_curvature(u1, u2, u3):
+    # G3 is the graph of f over [-1, 1]^3: with p = grad f, F = hess f and
+    # W^2 = 1 + |p|^2, g^-1 = I - p p^T / W^2, the second fundamental form
+    # is F / W, and Scal = ((tr g^-1 F)^2 - tr(g^-1 F g^-1 F)) / W^2
+    p = np.array(
+        [
+            0.4 * math.cos(u1) * math.cos(2 * u2) + 0.3 * u3 * u3,
+            -0.8 * math.sin(u1) * math.sin(2 * u2),
+            0.6 * u3 * u1,
+        ]
+    )
+    f11 = -0.4 * math.sin(u1) * math.cos(2 * u2)
+    f12 = -0.8 * math.cos(u1) * math.sin(2 * u2)
+    f22 = -1.6 * math.sin(u1) * math.cos(2 * u2)
+    hess = np.array([[f11, f12, 0.6 * u3], [f12, f22, 0.0], [0.6 * u3, 0.0, 0.6 * u1]])
+    w2 = 1.0 + p @ p
+    a = (np.eye(3) - np.outer(p, p) / w2) @ hess
+    return (np.trace(a) ** 2 - np.trace(a @ a)) / w2 / 6.0
+
+
+def fd_mean_curvature(spec, u):
+    """Scal / (d (d - 1)) contracted from the finite-difference Riemann tensor."""
+    g0, _, riemann = curvature_tensor(spec, u)
+    d = spec.intrinsic_dim
+    return np.einsum("jk,iijk->", np.linalg.inv(g0), riemann) / (d * (d - 1))
+
+
+def test_gauss_equation_three_dim_exact_values():
+    # the unit 3-sphere and S^2 x R (Scal = 2 over 6 planes) are exact
+    sphere3 = mean_sectional_curvature(SPHERE3, [[1.1, 1.3, 2.0], [0.4, 2.5, 5.0]])
+    assert np.max(np.abs(sphere3 - 1.0)) <= 1e-12
+    assert abs(mean_sectional_curvature(S2_TIMES_R, [1.1, 2.0, 0.3]) - 1 / 3) <= 1e-12
+    # G3 inside the box: the finite-difference oracle agrees to its own error
+    for u in (G3_POINT, [0.7, 0.1, -0.6], [-0.5, 0.8, 0.9]):
+        exact = mean_sectional_curvature(G3, u)
+        assert abs(exact - g3_mean_curvature(*u)) <= 1e-12
+        assert abs(exact - fd_mean_curvature(G3, u)) <= 1e-6 * abs(exact)
+    # and on the box edge and corners, where the stencil does not fit
+    edge = np.array([[1.0, -0.3, 0.4], [1.0, 1.0, 1.0], [-1.0, 0.2, -1.0]])
+    for u, value in zip(edge, mean_sectional_curvature(G3, edge)):
+        assert abs(value - g3_mean_curvature(*u)) <= 1e-12, u
+        with pytest.raises(StencilOutOfDomainError):
+            fd_mean_curvature(G3, u)
+
+
+def test_auto_sectional_curvature_above_two_dims_is_the_plane():
+    # the mean 1/3 of S^2 x R is no plane's curvature: span{e1, e3} contains
+    # the flat factor and span{e1, e2} is tangent to the unit sphere
+    u = [1.1, 2.0, 0.3]
+    e1, e2, e3 = np.eye(3)
+    assert abs(sectional_curvature(S2_TIMES_R, u, e1, e3)) <= 1e-6
+    assert abs(sectional_curvature(S2_TIMES_R, u, e1, e2) - 1.0) <= 1e-6
+
+
+def test_gauss_equation_rejects_a_singular_metric():
+    # the colatitude chart's metric is singular on the pole u1 = 0
+    chart = ManifoldSpec.parametric(
+        bounds=[(0.0, math.pi), (0.0, 2.0 * math.pi)],
+        expressions=["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+    )
+    with pytest.raises(RankDeficientError, match="singular"):
+        mean_sectional_curvature(chart, [0.0, 1.0])
+    with pytest.raises(RankDeficientError, match="singular"):
+        mean_sectional_curvature(chart, [[1.0, 1.0], [0.0, 2.0], [2.0, 3.0]])
+    # just off the pole the metric is regular and K = 1
+    assert abs(mean_sectional_curvature(chart, [1e-6, 1.0]) - 1.0) <= 1e-9
+
+
+def test_curve_has_no_mean_sectional_curvature():
+    helix = ManifoldSpec.parametric(
+        bounds=[(0.0, 6.0)], expressions=["cos(u1)", "sin(u1)", "0.2*u1"]
+    )
+    assert helix.curvature_fn is None
+    with pytest.raises(DegeneratePlaneError):
+        mean_sectional_curvature(helix, [0.5])
 
 
 def test_periodic_wrap_matches_curvature_across_seam():

@@ -199,3 +199,19 @@ def test_embed_energy_agrees_with_total_energy_in_three_dims():
     for entry in emap.entries:
         assert entry.iterations >= 1
         assert entry.energy == total_energy(params, spec, entry.image)
+
+
+def test_singular_chart_metric_is_a_per_point_error():
+    # a colatitude chart has a singular metric on its pole u1 = 0, where the
+    # curvature term raises; the point on the polar axis is reported, the
+    # one beside it still descends
+    chart = ManifoldSpec.parametric(
+        bounds=[(0.0, 3.14159), (0.0, 6.28318)],
+        expressions=["sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"],
+    )
+    params = EnergyParams(alpha=1.0, beta=1.0, gamma=0.02, lam=0.0)
+    points = np.array([[0.0, 0.0, 1.05], [0.1, 0.0, 1.05]])
+    emap, report = embed_points(params, chart, points, SolverConfig(max_iters=5))
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith("point 0: RankDeficientError: ")
+    assert [entry.iterations for entry in emap.entries] == [0, 5]
