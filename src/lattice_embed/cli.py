@@ -36,6 +36,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_number(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _write_rows(path: Path, digest: str, columns: list[str], rows) -> None:
     lines = [f"# digest: {digest}", ",".join(columns)]
     for row in rows:
@@ -94,25 +99,23 @@ def run_embed(config: RunConfig) -> int:
                 "max_residual": report.max_residual,
             },
             sort_keys=True,
+            allow_nan=False,
         )
     ]
     for index, entry in enumerate(emap.entries):
-        lines.append(
-            json.dumps(
-                {
-                    "record": "point",
-                    "index": index,
-                    "skipped": bool(entry.skipped),
-                    "converged": bool(entry.converged),
-                    "iterations": entry.iterations,
-                    "residual_norm": None
-                    if entry.skipped
-                    else float(entry.residual_norm),
-                    "energy": None if entry.skipped else float(entry.energy),
-                },
-                sort_keys=True,
-            )
-        )
+        record = {
+            "record": "point",
+            "index": index,
+            "skipped": bool(entry.skipped),
+            "converged": bool(entry.converged),
+            "iterations": entry.iterations,
+            # skipped and errored points have no value: null, never NaN
+            "residual_norm": _json_number(entry.residual_norm),
+            "energy": _json_number(entry.energy),
+        }
+        if entry.error is not None:
+            record["error"] = entry.error
+        lines.append(json.dumps(record, sort_keys=True, allow_nan=False))
     (out / "report.jsonl").write_text("\n".join(lines) + "\n")
 
     print(

@@ -3,7 +3,7 @@ Jacobian, and the injectivity / linear-map checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,11 +23,16 @@ _PAIR_BLOCK_ROWS = 256
 class LatticeSpec:
     """Axis-aligned grid: lower + k * spacing per axis, inside the bounds."""
 
-    bounds: Array  # (n, 2) rows of (lower, upper)
+    bounds: Array  # (n, 2) rows of (lower, upper), read-only
     spacing: float
+    axis_counts: tuple[int, ...] = field(init=False)
+    # per axis (lower, hull limit, node count, flat stride), as Python numbers
+    # for the interpolation kernel
+    _axes: tuple[tuple[float, float, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
+        bounds = np.atleast_2d(np.array(self.bounds, dtype=float))
+        bounds.flags.writeable = False
         object.__setattr__(self, "bounds", bounds)
         # negated comparison, so that NaN fails it
         if not self.spacing > 0.0:
@@ -36,18 +41,27 @@ class LatticeSpec:
             raise ValueError("lattice bounds must be finite")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise EmptyLatticeError("lattice bounds need lower <= upper per axis")
+        spans = bounds[:, 1] - bounds[:, 0]
+        # the epsilon absorbs float noise in span / spacing
+        counts = tuple(
+            int(math.floor(span / self.spacing + 1e-9)) + 1 for span in spans
+        )
+        object.__setattr__(self, "axis_counts", counts)
+        axes = tuple(
+            (
+                lo,
+                # the last node, widened by the snap tolerance
+                lo + self.spacing * (count - 1) + _NODE_SNAP * self.spacing,
+                count,
+                math.prod(counts[k + 1 :]),  # last axis fastest
+            )
+            for k, (lo, count) in enumerate(zip(bounds[:, 0].tolist(), counts))
+        )
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dim(self) -> int:
         return self.bounds.shape[0]
-
-    @property
-    def axis_counts(self) -> tuple[int, ...]:
-        spans = self.bounds[:, 1] - self.bounds[:, 0]
-        # the epsilon absorbs float noise in span / spacing
-        return tuple(
-            int(math.floor(span / self.spacing + 1e-9)) + 1 for span in spans
-        )
 
 
 def generate_lattice(spec: LatticeSpec) -> Array:
@@ -60,42 +74,65 @@ def generate_lattice(spec: LatticeSpec) -> Array:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-@dataclass(eq=False)
+def _frozen_copy(values) -> Array:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class EmbeddingEntry:
-    point: Array  # lattice point q
-    image: Array  # zeta(q)
+    point: Array  # lattice point q, read-only
+    image: Array  # zeta(q), read-only
     residual_norm: float
     energy: float
     iterations: int
     converged: bool
     skipped: bool = False
+    error: str | None = None  # the solver's message for a point that raised
+
+    def __post_init__(self):
+        object.__setattr__(self, "point", _frozen_copy(self.point))
+        object.__setattr__(self, "image", _frozen_copy(self.image))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EmbeddingMap:
     """Finite association q -> zeta(q) plus per-point solve diagnostics.
 
-    The map carries no energy state: the energy is a function of its
-    parameters alone, so verify_stationarity re-evaluates it from them."""
+    An immutable value: the entries and the (m, n) point and image arrays
+    built from them once are read-only, so nothing derived from them goes
+    stale.  The map carries no energy state: the energy is a function of
+    its parameters alone, so verify_stationarity re-evaluates it from them."""
 
-    entries: list[EmbeddingEntry]
+    entries: tuple[EmbeddingEntry, ...]
+    _points: Array = field(init=False, repr=False)
+    _images: Array = field(init=False, repr=False)
+    # the image rows as Python floats, for the interpolation kernel
+    _image_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        entries = tuple(self.entries)
+        points = _frozen_copy([e.point for e in entries])
+        images = _frozen_copy([e.image for e in entries])
         seen = set()
-        for entry in self.entries:
-            key = tuple(np.asarray(entry.point, dtype=float))
+        for index, key in enumerate(map(tuple, points.tolist())):
             if key in seen:
-                raise ValueError(f"duplicate lattice point {key} in map")
+                raise ValueError(f"duplicate lattice point {tuple(points[index])} in map")
             seen.add(key)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "_image_rows", tuple(map(tuple, images.tolist())))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def points(self) -> Array:
-        return np.array([e.point for e in self.entries])
+        return self._points.copy()
 
     def images(self) -> Array:
-        return np.array([e.image for e in self.entries])
+        return self._images.copy()
 
     @classmethod
     def from_pairs(cls, points, images) -> "EmbeddingMap":
@@ -103,29 +140,70 @@ class EmbeddingMap:
         images = np.asarray(images, dtype=float)
         if points.shape != images.shape:
             raise ValueError("points and images must have matching shapes")
-        entries = [
+        entries = tuple(
             EmbeddingEntry(
-                point=p.copy(),
-                image=z.copy(),
+                point=p,
+                image=z,
                 residual_norm=0.0,
                 energy=0.0,
                 iterations=0,
                 converged=True,
             )
             for p, z in zip(points, images)
-        ]
+        )
         return cls(entries=entries)
 
 
-def _grid_images(emap: EmbeddingMap, lattice: LatticeSpec) -> Array:
-    counts = lattice.axis_counts
-    expected = int(np.prod(counts))
+def _node_rows(emap: EmbeddingMap, lattice: LatticeSpec) -> tuple:
+    expected = math.prod(lattice.axis_counts)
     if len(emap) != expected:
         raise ValueError(
             f"map has {len(emap)} entries but the lattice has {expected} points"
         )
-    images = emap.images()
-    return images.reshape(counts + (images.shape[-1],))
+    return emap._image_rows
+
+
+def _interpolate(rows: tuple, lattice: LatticeSpec, x: list) -> list:
+    """Multilinear interpolation at x (Python floats) of the node images,
+    rows in generate_lattice order.
+
+    Corners run with axis 0 fastest, a corner's weight multiplies its axis
+    factors in axis order from 1.0, and each image component adds the
+    corners in that order from 0.0.  An axis on which x sits at a node, or
+    that has one node, contributes the factor 1 of that node alone: the
+    other corners would carry weight 0 and are skipped."""
+    spacing = lattice.spacing
+    base = 0  # flat row of the corner nearest the lower bounds
+    weights = [1.0]
+    offsets = [0]
+    for k, (xk, (lo, limit, count, stride)) in enumerate(zip(x, lattice._axes)):
+        cell = (xk - lo) / spacing
+        # negated comparison, so that NaN fails it
+        if not (cell >= -_NODE_SNAP and xk <= limit):
+            raise OutOfHullError(f"x={np.array(x)} outside the lattice hull on axis {k}")
+        if count == 1:
+            continue
+        i = math.floor(cell)
+        t = cell - i
+        if t > 1.0 - _NODE_SNAP:  # snap to the next node
+            i += 1
+            t = 0.0
+        elif t < _NODE_SNAP:
+            t = 0.0
+        i = min(max(i, 0), count - 1)
+        base += i * stride
+        # the top node has no cell above it: the node alone, whatever t is
+        if t != 0.0 and i < count - 1:
+            lower = 1.0 - t
+            weights = [w * lower for w in weights] + [w * t for w in weights]
+            offsets += [r + stride for r in offsets]
+    out = []
+    for column in zip(*(rows[base + r] for r in offsets)):
+        total = 0.0
+        for w, z in zip(weights, column):
+            total += w * z
+        out.append(total)
+    return out
 
 
 def extend_map(emap: EmbeddingMap, lattice: LatticeSpec, x) -> Array:
@@ -136,47 +214,7 @@ def extend_map(emap: EmbeddingMap, lattice: LatticeSpec, x) -> Array:
         raise OutOfHullError(
             f"query dimension {x.shape[0]} != lattice dimension {lattice.dim}"
         )
-    counts = lattice.axis_counts
-    grid = _grid_images(emap, lattice)
-    idx = np.zeros(lattice.dim, dtype=int)
-    frac = np.zeros(lattice.dim)
-    for k in range(lattice.dim):
-        lo = lattice.bounds[k, 0]
-        hi = lo + lattice.spacing * (counts[k] - 1)
-        cell = (x[k] - lo) / lattice.spacing
-        if cell < -_NODE_SNAP or x[k] > hi + _NODE_SNAP * lattice.spacing:
-            raise OutOfHullError(f"x={x} outside the lattice hull on axis {k}")
-        i = int(math.floor(cell))
-        t = cell - i
-        if t > 1.0 - _NODE_SNAP:  # snap to the next node
-            i += 1
-            t = 0.0
-        elif t < _NODE_SNAP:
-            t = 0.0
-        i = min(max(i, 0), counts[k] - 1)
-        if i == counts[k] - 1 and counts[k] > 1:
-            # top node: interpolate from the last cell with t = 1
-            i -= 1
-            t = 1.0
-        idx[k] = i
-        frac[k] = t
-
-    out = np.zeros(grid.shape[-1])
-    for corner in range(2 ** lattice.dim):
-        weight = 1.0
-        pos = []
-        for k in range(lattice.dim):
-            bit = (corner >> k) & 1
-            if counts[k] == 1:
-                if bit:
-                    weight = 0.0
-                pos.append(idx[k])
-                continue
-            weight *= frac[k] if bit else (1.0 - frac[k])
-            pos.append(idx[k] + bit)
-        if weight != 0.0:
-            out += weight * grid[tuple(pos)]
-    return out
+    return np.array(_interpolate(_node_rows(emap, lattice), lattice, x.tolist()))
 
 
 def jacobian_of_extension(
@@ -188,13 +226,18 @@ def jacobian_of_extension(
     if not 0.0 < step < lattice.spacing / 4.0:
         raise ValueError("step must lie in (0, spacing / 4)")
     n = x.shape[0]
+    if n != lattice.dim:
+        raise OutOfHullError(f"query dimension {n} != lattice dimension {lattice.dim}")
+    rows = _node_rows(emap, lattice)
+    x = x.tolist()
     jac = np.zeros((n, n))
     for k in range(n):
-        offset = np.zeros(n)
-        offset[k] = step
-        plus = extend_map(emap, lattice, x + offset)
-        minus = extend_map(emap, lattice, x - offset)
-        jac[:, k] = (plus - minus) / (2.0 * step)
+        # x +- step e_k as the elementwise sum x +- offset, so that the other
+        # axes get x_j + 0.0 too (which turns -0.0 into 0.0)
+        offset = [step if j == k else 0.0 for j in range(n)]
+        plus = _interpolate(rows, lattice, [a + b for a, b in zip(x, offset)])
+        minus = _interpolate(rows, lattice, [a - b for a, b in zip(x, offset)])
+        jac[:, k] = [(p - m) / (2.0 * step) for p, m in zip(plus, minus)]
     return jac
 
 
@@ -212,8 +255,7 @@ def check_injective_invert(emap: EmbeddingMap, tol: float) -> InjectivityReport:
     collision reports the first closest pair in row-major order."""
     if len(emap) == 0:
         raise ValueError("map is empty")
-    images = emap.images()
-    points = emap.points()
+    images = emap._images
     m = images.shape[0]
     # Row blocks keep memory linear in m; the smallest entry of each block
     # and its row-major index reproduce argmin over the full m x m matrix.
@@ -231,7 +273,7 @@ def check_injective_invert(emap: EmbeddingMap, tol: float) -> InjectivityReport:
     if min_dist <= tol:
         i, j = divmod(block_arg[best], m)
         return InjectivityReport(False, min_dist, None, (i, j))
-    inverse = {tuple(z): tuple(q) for q, z in zip(points, images)}
+    inverse = dict(zip(emap._image_rows, map(tuple, emap._points.tolist())))
     return InjectivityReport(True, min_dist, inverse, None)
 
 

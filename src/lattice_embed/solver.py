@@ -116,30 +116,31 @@ def _solve_one(params, spec, q, config, index):
         dist = float(np.linalg.norm(q - proj.point))
         if dist > support:
             entry = EmbeddingEntry(
-                point=q.copy(),
-                image=q.copy(),
+                point=q,
+                image=q,
                 residual_norm=float("nan"),
                 energy=float("nan"),
                 iterations=0,
                 converged=False,
                 skipped=True,
             )
-            return entry, None, None
+            return entry, None
         image, trace = descend_point(params, spec, q, config)
     except LatticeEmbedError as exc:
         # per-point failures are reported, never abort the batch
         entry = EmbeddingEntry(
-            point=q.copy(),
-            image=q.copy(),
+            point=q,
+            image=q,
             residual_norm=float("nan"),
             energy=float("nan"),
             iterations=0,
             converged=False,
             skipped=False,
+            error=f"point {index}: {type(exc).__name__}: {exc}",
         )
-        return entry, None, f"point {index}: {type(exc).__name__}: {exc}"
+        return entry, None
     entry = EmbeddingEntry(
-        point=q.copy(),
+        point=q,
         image=image,
         residual_norm=trace.final_residual_norm,
         energy=trace.final_energy,
@@ -147,7 +148,7 @@ def _solve_one(params, spec, q, config, index):
         converged=trace.converged,
         skipped=False,
     )
-    return entry, trace, None
+    return entry, trace
 
 
 def embed_points(
@@ -166,10 +167,10 @@ def embed_points(
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     start = time.perf_counter()
     results = [_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
-    entries = [entry for entry, _, _ in results]
+    entries = [entry for entry, _ in results]
     report = SolveReport()
-    report.traces = [trace for _, trace, _ in results if trace is not None]
-    report.errors = [err for _, _, err in results if err is not None]
+    report.traces = [trace for _, trace in results if trace is not None]
+    report.errors = [entry.error for entry in entries if entry.error is not None]
     report.skipped = sum(1 for entry in entries if entry.skipped)
     report.attempted = len(entries) - report.skipped
     report.converged_count = sum(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -326,22 +327,23 @@ def test_curve_with_curvature_term_is_a_config_error(tmp_path, capsys):
     assert err.startswith("configuration error: energy.gamma")
 
 
+POLE_LATTICE = (
+    "manifold.kind = parametric\n"
+    "manifold.chart = sin(u1)*cos(u2); sin(u1)*sin(u2); cos(u1)\n"
+    "manifold.bounds = 0:3.14159, 0:6.28318\n"
+    "energy.gamma = 0.02\n"
+    "lattice.bounds = -0.1:0.1, 0:0, 1.05:1.05\n"
+    "lattice.spacing = 0.1\n"
+    "solver.max_iters = 5\n"
+)
+
+
 def test_embed_reports_points_at_a_singular_chart_metric(tmp_path, capsys):
     # the lattice point on the polar axis projects onto the pole u1 = 0 of a
     # colatitude chart, where the curvature term has no value: that point
     # is an error, its neighbours descend, and the files are written
     out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
-        "manifold.kind = parametric\n"
-        "manifold.chart = sin(u1)*cos(u2); sin(u1)*sin(u2); cos(u1)\n"
-        "manifold.bounds = 0:3.14159, 0:6.28318\n"
-        "energy.gamma = 0.02\n"
-        "lattice.bounds = -0.1:0.1, 0:0, 1.05:1.05\n"
-        "lattice.spacing = 0.1\n"
-        "solver.max_iters = 5\n"
-        f"output.directory = {out}\n",
-    )
+    cfg = write_config(tmp_path, POLE_LATTICE + f"output.directory = {out}\n")
     assert cli.main(["embed", cfg]) == 1
     assert "Traceback" not in capsys.readouterr().err
     points = (out / "points.csv").read_text().splitlines()[2:]
@@ -351,3 +353,22 @@ def test_embed_reports_points_at_a_singular_chart_metric(tmp_path, capsys):
         ["5", "false"],
     ]
     assert len((out / "report.jsonl").read_text().splitlines()) == 1 + 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_is_strict_json_and_names_point_errors(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, POLE_LATTICE + f"output.directory = {out}\n")
+    assert cli.main(["embed", cfg]) == 1
+    lines = (out / "report.jsonl").read_text().splitlines()
+    records = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+    errored = records[2]
+    assert errored["residual_norm"] is None and errored["energy"] is None
+    assert errored["error"].startswith("point 1: RankDeficientError: ")
+    for record in (records[1], records[3]):
+        # points that descended keep their values and carry no error field
+        assert "error" not in record
+        assert math.isfinite(record["residual_norm"]) and math.isfinite(record["energy"])

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +140,217 @@ def test_jacobian_step_guard():
     emap = EmbeddingMap.from_pairs(pts, pts)
     with pytest.raises(ValueError):
         jacobian_of_extension(emap, lattice, [1.0, 1.0, 1.0], step=0.3)
+
+
+# --- the interpolation kernel against the per-corner loop --------------------
+
+
+def _extend_map_loop(emap, lattice, x):
+    """Reference extension: the per-corner loop over all 2^n cell corners,
+    with the image grid rebuilt from the entries on every call."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != lattice.dim:
+        raise OutOfHullError(
+            f"query dimension {x.shape[0]} != lattice dimension {lattice.dim}"
+        )
+    counts = lattice.axis_counts
+    expected = int(np.prod(counts))
+    if len(emap) != expected:
+        raise ValueError(
+            f"map has {len(emap)} entries but the lattice has {expected} points"
+        )
+    images = emap.images()
+    grid = images.reshape(counts + (images.shape[-1],))
+    idx = np.zeros(lattice.dim, dtype=int)
+    frac = np.zeros(lattice.dim)
+    for k in range(lattice.dim):
+        lo = lattice.bounds[k, 0]
+        hi = lo + lattice.spacing * (counts[k] - 1)
+        cell = (x[k] - lo) / lattice.spacing
+        if cell < -1e-9 or x[k] > hi + 1e-9 * lattice.spacing:
+            raise OutOfHullError(f"x={x} outside the lattice hull on axis {k}")
+        i = int(math.floor(cell))
+        t = cell - i
+        if t > 1.0 - 1e-9:
+            i += 1
+            t = 0.0
+        elif t < 1e-9:
+            t = 0.0
+        i = min(max(i, 0), counts[k] - 1)
+        if i == counts[k] - 1 and counts[k] > 1:
+            i -= 1
+            t = 1.0
+        idx[k] = i
+        frac[k] = t
+    out = np.zeros(grid.shape[-1])
+    for corner in range(2 ** lattice.dim):
+        weight = 1.0
+        pos = []
+        for k in range(lattice.dim):
+            bit = (corner >> k) & 1
+            if counts[k] == 1:
+                if bit:
+                    weight = 0.0
+                pos.append(idx[k])
+                continue
+            weight *= frac[k] if bit else (1.0 - frac[k])
+            pos.append(idx[k] + bit)
+        if weight != 0.0:
+            out += weight * grid[tuple(pos)]
+    return out
+
+
+def _jacobian_loop(emap, lattice, x, step):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    n = x.shape[0]
+    jac = np.zeros((n, n))
+    for k in range(n):
+        offset = np.zeros(n)
+        offset[k] = step
+        plus = _extend_map_loop(emap, lattice, x + offset)
+        minus = _extend_map_loop(emap, lattice, x - offset)
+        jac[:, k] = (plus - minus) / (2.0 * step)
+    return jac
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OutOfHullError as exc:
+        return exc
+
+
+def _assert_same(value, reference):
+    if isinstance(reference, OutOfHullError):
+        assert isinstance(value, OutOfHullError), value
+        assert str(value) == str(reference)
+    else:
+        assert not isinstance(value, Exception), value
+        assert np.array_equal(value, reference)
+
+
+@st.composite
+def _grids_and_queries(draw):
+    """A 1-4-D lattice (single-node axes included), seeded images, and
+    queries at nodes, within 2e-9 cells of a node, on a top face, inside
+    the hull, and beyond it by up to half a cell."""
+    dim = draw(st.integers(1, 4))
+    spacing = draw(st.sampled_from([0.1, 0.2, 0.25, 1.0, 0.3]))
+    counts = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    lower = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+    slack = draw(st.lists(st.floats(0.0, 0.9), min_size=dim, max_size=dim))
+    bounds = np.array(
+        [
+            [lo, lo + spacing * (count - 1) + s * spacing]
+            for lo, count, s in zip(lower, counts, slack)
+        ]
+    )
+    lattice = LatticeSpec(bounds=bounds, spacing=spacing)
+    nodes = generate_lattice(lattice)
+    seed = draw(st.integers(0, 2**32 - 1))
+    images = np.random.default_rng(seed).standard_normal(nodes.shape)
+    emap = EmbeddingMap.from_pairs(nodes, images)
+
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = []
+        for k, count in enumerate(lattice.axis_counts):
+            lo = float(lattice.bounds[k, 0])
+            node = lo + spacing * draw(st.integers(0, count - 1))
+            top = lo + spacing * (count - 1)
+            kind = draw(st.sampled_from(["node", "near", "top", "inside", "beyond"]))
+            if kind == "node":
+                x.append(node)
+            elif kind == "near":
+                # either side of the 1e-9-cell snap and hull tolerances
+                x.append(node + draw(st.floats(-2e-9, 2e-9)) * spacing)
+            elif kind == "top":
+                x.append(top)
+            elif kind == "inside":
+                x.append(draw(st.floats(lo, top)))
+            else:
+                past = draw(st.floats(0.0, 0.5)) * spacing
+                x.append(draw(st.sampled_from([lo - past, top + past])))
+        queries.append(np.array(x))
+    step = spacing * draw(st.floats(0.01, 0.24))
+    # Jacobian points whose stencils fit the hull, wherever the axis has a
+    # cell: at nodes, with a stencil point within 2e-9 cells of a node, and
+    # inside.  An axis with one node has no stencil that fits.
+    stencil_points = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = []
+        for k, count in enumerate(lattice.axis_counts):
+            lo = float(lattice.bounds[k, 0])
+            top = lo + spacing * (count - 1)
+            node = lo + spacing * draw(st.integers(0, count - 1))
+            kind = draw(st.sampled_from(["node", "near", "inside"]))
+            if kind == "node":
+                value = node
+            elif kind == "near":
+                value = node + draw(st.sampled_from([-step, step]))
+                value += draw(st.floats(-2e-9, 2e-9)) * spacing
+            else:
+                value = draw(st.floats(lo, top))
+            x.append(value if count == 1 else min(max(value, lo + step), top - step))
+        stencil_points.append(np.array(x))
+    return lattice, emap, queries, stencil_points, step
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_grids_and_queries())
+def test_extension_and_jacobian_match_the_corner_loop(case):
+    lattice, emap, queries, stencil_points, step = case
+    for x in queries:
+        _assert_same(
+            _outcome(extend_map, emap, lattice, x),
+            _outcome(_extend_map_loop, emap, lattice, x),
+        )
+    for x in stencil_points + queries:
+        _assert_same(
+            _outcome(jacobian_of_extension, emap, lattice, x, step),
+            _outcome(_jacobian_loop, emap, lattice, x, step),
+        )
+
+
+def test_map_values_cannot_go_stale():
+    lattice = cube_lattice()
+    pts = generate_lattice(lattice)
+    images = np.random.default_rng(23).standard_normal(pts.shape)
+    emap = EmbeddingMap.from_pairs(pts, images)
+    entry = emap.entries[4]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.image = np.zeros(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emap.entries = ()
+    with pytest.raises(ValueError):
+        entry.image[0] = 5.0
+    with pytest.raises(ValueError):
+        entry.point[0] = 5.0
+    with pytest.raises(ValueError):
+        lattice.bounds[0, 1] = 9.0
+    assert isinstance(emap.entries, tuple)
+
+    x = np.array([0.3, 1.7, 1.2])
+    before = extend_map(emap, lattice, x), check_injective_invert(emap, tol=1e-9)
+    # points() and images() hand out copies: writing into them changes nothing
+    emap.points()[:] = 0.0
+    emap.images()[:] = 0.0
+    after = extend_map(emap, lattice, x), check_injective_invert(emap, tol=1e-9)
+    assert np.array_equal(before[0], after[0])
+    assert before[1].min_pair_distance == after[1].min_pair_distance
+    assert before[1].inverse == after[1].inverse
+    assert np.array_equal(emap.images(), images)
+
+
+def test_map_size_mismatch_message():
+    lattice = cube_lattice()
+    pts = generate_lattice(lattice)
+    emap = EmbeddingMap.from_pairs(pts[:-1], pts[:-1])
+    message = "map has 26 entries but the lattice has 27 points"
+    with pytest.raises(ValueError, match=message):
+        extend_map(emap, lattice, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        jacobian_of_extension(emap, lattice, [1.0, 1.0, 1.0], step=0.1)
 
 
 # --- injectivity ------------------------------------------------------------
