@@ -6,7 +6,6 @@ from .energy import (
     EnergyParams,
     alignment,
     alignment_gradient,
-    el_residual,
     embedding_pde_residual,
     reduced_residual,
     solve_lambda_reduced,
@@ -90,7 +89,6 @@ __all__ = [
     "decompose",
     "descend_point",
     "distance_to_manifold",
-    "el_residual",
     "embed_lattice",
     "embed_points",
     "embedding_pde_residual",

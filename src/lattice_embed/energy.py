@@ -5,13 +5,13 @@ total = alignment + gamma * curvature integral (closest-point pullback)
 
 The curvature term is the closed form of quadrature.curvature_double_integral
 at the closest point, so it depends on no seed or resolution.  The
-stationarity (Euler-Lagrange) residual is by construction identical to the
-energy gradient, so "stationary point" and "zero residual" are the same
-testable statement.
+stationarity (Euler-Lagrange) residual alpha(q-p)_T + beta(q-p)_N + gamma K(q)
++ lam Delta_A(q) is the energy gradient itself, total_gradient, so
+"stationary point" and "zero residual" are the same testable statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,23 +135,14 @@ def total_gradient(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
     return grad
 
 
-def el_residual(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
-    """Stationarity residual alpha(q-p)_T + beta(q-p)_N + gamma K(q)
-    + lam Delta_A(q); identical to total_gradient by construction, so a
-    stationary point is exactly a zero of this vector."""
-    return total_gradient(params, spec, q)
-
-
 def embedding_pde_residual(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
-    """Tube-reinforced stationarity diagnostic: the alignment gradient plus
-    the gamma-weighted curvature gradient plus mu times the activation
-    gradient.  On the activation plateau the mu term vanishes identically."""
+    """Tube-reinforced stationarity diagnostic: total_gradient without its
+    lam term, plus mu times the activation gradient.  On the activation
+    plateau the mu term vanishes identically."""
     q = np.asarray(q, dtype=float).reshape(-1)
-    proj = closest_point(spec, q)
-    residual = _alignment_grad(params, spec, proj, q)
-    if params.gamma != 0.0:
-        residual = residual + params.gamma * curvature_integral_gradient(spec, q)
+    residual = total_gradient(replace(params, lam=0.0), spec, q)
     if params.mu != 0.0:
+        proj = closest_point(spec, q)
         residual = residual + params.mu * _activation_gradient_at(
             params.field_for(spec), q, proj.point
         )

@@ -48,8 +48,8 @@ class LatticeEmbedder(BaseEstimator):
     """Project ambient points onto a manifold by per-point energy descent.
 
     Parameters mirror the energy functional and solver settings: alpha/beta
-    weight the tangential/normal alignment, gamma the tangent-sphere
-    curvature integral, lam the tube-smoothing regularization.
+    weight the tangential/normal alignment, gamma the curvature double
+    integral at the closest point, lam the tube-smoothing regularization.
     ``manifold`` is a built-in name (with ``manifold_params``) or a ready
     ManifoldSpec.
 

@@ -10,7 +10,7 @@ Parametric charts of every dimension d >= 2 get an exact curvature_fn, the
 mean sectional curvature from the Gauss equation over their symbolic second
 partials.  The finite-difference curvature pipeline, built from central
 differences of the pullback metric, remains as the reference oracle
-(`curvature_tensor`, `riemann_apply`, `sectional_curvature(method="fd")`).
+(`curvature_tensor`, `riemann_apply`, `sectional_curvature`).
 """
 from __future__ import annotations
 
@@ -661,57 +661,50 @@ def mean_sectional_curvature(spec: ManifoldSpec, u) -> Array:
 
 
 def _canonical_pair(g: Array, v: Array, w: Array):
-    """Metric-normalize, order, and orthonormalize a tangent pair.
+    """Metric-normalize, order, and orthonormalize tangent pairs, the rows
+    of v and w (k, d).
 
     Sectional curvature depends only on the unordered plane span{v, w}; the
-    canonical representative makes the documented scale and swap invariances
-    hold to rounding instead of finite-difference truncation.
+    canonical representative (the lexicographically smaller unit vector
+    first) makes the documented scale and swap invariances hold to rounding
+    instead of finite-difference truncation.
     """
-    nv = math.sqrt(float(v @ g @ v))
-    nw = math.sqrt(float(w @ g @ w))
-    if nv == 0.0 or nw == 0.0:
+    nv = np.sqrt(_inner(v @ g, v))
+    nw = np.sqrt(_inner(w @ g, w))
+    if np.any(nv == 0.0) or np.any(nw == 0.0):
         raise DegeneratePlaneError("tangent vectors must be nonzero")
-    vh, wh = v / nv, w / nw
-    cos = float(vh @ g @ wh)
-    if 1.0 - cos * cos <= PARALLEL_TOL:
+    vh, wh = v / nv[:, None], w / nw[:, None]
+    cos = _inner(vh @ g, wh)
+    gram = 1.0 - cos * cos
+    if np.any(gram <= PARALLEL_TOL):
         raise DegeneratePlaneError(
             f"tangent plane degenerate: normalized Gram determinant "
-            f"{1.0 - cos * cos:g} <= {PARALLEL_TOL:g}"
+            f"{np.min(gram):g} <= {PARALLEL_TOL:g}"
         )
-    a, b = (vh, wh) if tuple(vh) <= tuple(wh) else (wh, vh)
-    cab = float(a @ g @ b)
-    b_perp = b - cab * a
-    b_perp /= math.sqrt(float(b_perp @ g @ b_perp))
-    return a, b_perp
+    rows = np.arange(len(vh))
+    first = np.argmax(vh != wh, axis=1)  # the first coordinate that differs
+    swap = (vh[rows, first] > wh[rows, first])[:, None]
+    a, b = np.where(swap, wh, vh), np.where(swap, vh, wh)
+    b_perp = b - _inner(a @ g, b)[:, None] * a
+    return a, b_perp / np.sqrt(_inner(b_perp @ g, b_perp))[:, None]
 
 
-def sectional_curvature(
-    spec: ManifoldSpec,
-    u,
-    v,
-    w,
-    *,
-    method: str = "auto",
-) -> float:
+def sectional_curvature(spec: ManifoldSpec, u, v, w):
     """Sectional curvature K(v, w) = <R(v,w)w, v> / (<v,v><w,w> - <v,w>^2)
-    in the pullback metric, for chart-coordinate tangent vectors v, w.
+    in the pullback metric, for chart-coordinate tangent vectors v, w: one
+    pair (d,) gives a float, k pairs (k, d) an array (k,).
 
-    method "auto" uses the spec's curvature_fn on a surface that has one
-    (every plane of a surface has the Gaussian curvature; above d = 2 the
-    curvature_fn's mean is no plane's curvature) and the finite-difference
-    pipeline otherwise; "fd" forces the pipeline.
+    This is the finite-difference reference: every pair reads the one
+    Riemann tensor that curvature_tensor assembles at u.  The exact mean
+    over the planes, which on a surface is every plane's K, is
+    mean_sectional_curvature.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    g = metric(spec, u)
-    a, b = _canonical_pair(g, v, w)
-    if method not in ("auto", "fd"):
-        raise ValueError(f"unknown curvature method {method!r}")
-    surface = spec.intrinsic_dim == 2 and spec.curvature_fn is not None
-    if method == "auto" and surface:
-        return spec.curvature_fn(u)
     g0, _, riemann = curvature_tensor(spec, u)
-    numerator = float(np.einsum("lm,lijk,i,j,k,m->", g0, riemann, a, b, b, a))
-    denominator = float((a @ g0 @ a) * (b @ g0 @ b) - (a @ g0 @ b) ** 2)
-    return numerator / denominator
+    a, b = _canonical_pair(g0, np.atleast_2d(v), np.atleast_2d(w))
+    lowered = np.einsum("lm,lijk->mijk", g0, riemann)
+    numerator = np.einsum("mijk,pm,pi,pj,pk->p", lowered, a, a, b, b)
+    ga, gb = a @ g0, b @ g0
+    denominator = _inner(ga, a) * _inner(gb, b) - _inner(ga, b) ** 2
+    k = numerator / denominator
+    return float(k[0]) if np.ndim(v) == 1 else k

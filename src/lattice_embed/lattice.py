@@ -9,7 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyLatticeError, OutOfHullError
-from .geometry import ManifoldSpec, closest_point, decompose, tangent_frame
+from .energy import alignment
+from .geometry import ManifoldSpec, closest_point, tangent_frame
 
 Array = np.ndarray
 
@@ -185,12 +186,13 @@ def _interpolate(rows: tuple, lattice: LatticeSpec, x: list) -> list:
             continue
         i = math.floor(cell)
         t = cell - i
-        if t > 1.0 - _NODE_SNAP:  # snap to the next node
+        # snap to the next node; cell -1 lies within the snap of node 0
+        if t > 1.0 - _NODE_SNAP or i < 0:
             i += 1
             t = 0.0
         elif t < _NODE_SNAP:
             t = 0.0
-        i = min(max(i, 0), count - 1)
+        i = min(i, count - 1)
         base += i * stride
         # the top node has no cell above it: the node alone, whatever t is
         if t != 0.0 and i < count - 1:
@@ -296,10 +298,6 @@ def alignment_of_linear_map(
     total = 0.0
     for q in samples:
         q = np.asarray(q, dtype=float).reshape(-1)
-        residual = q - J @ q
-        proj = closest_point(spec, q)
-        frame = tangent_frame(spec, proj.u)
-        t_part, n_part = decompose(frame, residual)
-        total += 0.5 * params.alpha * float(t_part @ t_part)
-        total += 0.5 * params.beta * float(n_part @ n_part)
+        frame = tangent_frame(spec, closest_point(spec, q).u)
+        total += alignment(params, frame, J @ q, q)
     return total

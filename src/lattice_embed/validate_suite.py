@@ -26,7 +26,8 @@ from .geometry import (
     PARALLEL_TOL,
     ManifoldSpec,
     closest_point,
-    curvature_tensor,
+    mean_sectional_curvature,
+    metric,
     sectional_curvature,
     tangent_frame,
 )
@@ -88,8 +89,6 @@ def _tube_point(rng, spec, params, *, margin=(0.1, 1.8)):
 
 def check_constant_curvature() -> str:
     rng = np.random.default_rng(101)
-    from .geometry import metric
-
     worst_fd = worst_an = 0.0
     for radius in (0.5, 1.0, 2.0):
         spec = ManifoldSpec.sphere(radius)
@@ -102,8 +101,8 @@ def check_constant_curvature() -> str:
                 ]
             )
             v, w = _draw_tangent_pair(rng, metric(spec, u))
-            k_fd = sectional_curvature(spec, u, v, w, method="fd")
-            k_an = sectional_curvature(spec, u, v, w)
+            k_fd = sectional_curvature(spec, u, v, w)
+            k_an = mean_sectional_curvature(spec, u)
             worst_fd = max(worst_fd, abs(k_fd - expected))
             worst_an = max(worst_an, abs(k_an - expected))
             assert abs(k_fd - expected) <= 1e-3, (radius, u, k_fd)
@@ -113,7 +112,7 @@ def check_constant_curvature() -> str:
     for _ in range(100):
         u = rng.uniform(-5.0, 5.0, size=2)
         v, w = _draw_tangent_pair(rng, np.eye(2))
-        k = sectional_curvature(plane, u, v, w, method="fd")
+        k = sectional_curvature(plane, u, v, w)
         worst_plane = max(worst_plane, abs(k))
         assert abs(k) <= 1e-8, (u, k)
     return (
@@ -132,8 +131,8 @@ def check_torus_curvature() -> str:
     for pol in (0.0, math.pi / 2.0, math.pi):
         expected = math.cos(pol) / (small * (big + small * math.cos(pol)))
         u = np.array([1.0, pol])
-        k_fd = sectional_curvature(spec, u, [1.0, 0.2], [0.1, 1.0], method="fd")
-        k_an = sectional_curvature(spec, u, [1.0, 0.2], [0.1, 1.0])
+        k_fd = sectional_curvature(spec, u, [1.0, 0.2], [0.1, 1.0])
+        k_an = mean_sectional_curvature(spec, u)
         assert abs(k_fd - expected) <= 1e-3, (pol, k_fd, expected)
         assert abs(k_an - expected) <= 1e-12, (pol, k_an, expected)
         worst = max(worst, abs(k_fd - expected))
@@ -159,26 +158,16 @@ G3 = ManifoldSpec.parametric(
 G3_POINT = np.array([0.2, -0.3, 0.4])
 
 
-def pair_curvatures(spec, u, a, b) -> np.ndarray:
-    """Sectional curvatures of the planes spanned by the rows of a and b,
-    unit directions mapped into a metric-orthonormal tangent frame at
-    chart(u), from the finite-difference Riemann tensor."""
-    g0, _, riemann = curvature_tensor(spec, u)
-    # B^T g0 B = I: metric inner products of B a equal Euclidean ones of a
-    basis = np.linalg.inv(np.linalg.cholesky(g0)).T
-    lowered = np.einsum("lm,lijk->mijk", g0, riemann)
-    va, vb = a @ basis.T, b @ basis.T
-    numer = np.einsum("mijk,pm,pi,pj,pk->p", lowered, va, va, vb, vb)
-    cos = np.sum(a * b, axis=1)
-    return numer / (1.0 - cos * cos)
-
-
 def all_pairs_integral(spec, u, rule) -> float:
     """The tangent-sphere integral as the equal-weight sum over every pair of
-    the rule's nodes that spans a plane, rescaled to the full pair measure."""
+    the rule's nodes that spans a plane, rescaled to the full pair measure.
+    The nodes are directions of a metric-orthonormal frame at chart(u): B
+    with B^T g B = I maps them to chart coordinates."""
     cos = rule.nodes @ rule.nodes.T
     ii, jj = np.nonzero(1.0 - cos * cos > PARALLEL_TOL)
-    kvals = pair_curvatures(spec, u, rule.nodes[ii], rule.nodes[jj])
+    basis = np.linalg.inv(np.linalg.cholesky(metric(spec, u))).T
+    nodes = rule.nodes @ basis.T
+    kvals = sectional_curvature(spec, u, nodes[ii], nodes[jj])
     return sphere_measure(rule.intrinsic_dim) ** 2 * float(np.mean(kvals))
 
 
@@ -197,13 +186,17 @@ def check_curvature_integral() -> str:
     rel3 = abs(c3 - expected3) / expected3
     assert rel3 <= 1e-12, (c3, expected3)
 
-    # oracle: independent uniform direction pairs, each its own plane
+    # oracle: independent uniform direction pairs of a metric-orthonormal
+    # frame (B^T g B = I), each its own plane
     closed = curvature_double_integral(G3, G3_POINT)
     rng = np.random.default_rng(7)
     a, b = (rng.standard_normal((400_000, 3)) for _ in range(2))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    samples = sphere_measure(3) ** 2 * pair_curvatures(G3, G3_POINT, a, b)
+    basis = np.linalg.inv(np.linalg.cholesky(metric(G3, G3_POINT))).T
+    samples = sphere_measure(3) ** 2 * sectional_curvature(
+        G3, G3_POINT, a @ basis.T, b @ basis.T
+    )
     mean = float(np.mean(samples))
     stderr = float(np.std(samples)) / math.sqrt(samples.size)
     z = abs(closed - mean) / stderr

@@ -8,7 +8,6 @@ from lattice_embed.energy import (
     EnergyParams,
     alignment,
     alignment_gradient,
-    el_residual,
     embedding_pde_residual,
     reduced_residual,
     solve_lambda_reduced,
@@ -198,22 +197,10 @@ def test_projection_counts(count_calls):
 # --- stationarity residuals -------------------------------------------------
 
 
-def test_el_residual_identical_to_gradient():
-    params = EnergyParams(alpha=1.1, beta=0.9, gamma=0.02, lam=0.3, tube_radius=0.1)
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        q = direction * rng.uniform(0.9, 1.1)
-        res = el_residual(params, SPHERE, q)
-        grad = total_gradient(params, SPHERE, q)
-        assert np.array_equal(res, grad)
-
-
 def test_el_residual_normal_term_only():
     params = EnergyParams(alpha=1.0, beta=2.5)
     q = np.array([0.3, -0.2, 0.4])
-    res = el_residual(params, PLANE, q)
+    res = total_gradient(params, PLANE, q)
     assert np.allclose(res, [0.0, 0.0, 2.5 * 0.4], atol=1e-12)
 
 
@@ -222,14 +209,14 @@ def test_embedding_pde_residual_plateau_matches_el():
     params = EnergyParams(alpha=1.0, beta=1.0, mu=3.0, tube_radius=0.1)
     q = np.array([0.2, 0.1, 0.05])
     res = embedding_pde_residual(params, PLANE, q)
-    assert np.allclose(res, el_residual(params, PLANE, q), atol=1e-8)
+    assert np.allclose(res, total_gradient(params, PLANE, q), atol=1e-8)
 
 
 def test_embedding_pde_residual_mu_term_in_band():
     params = EnergyParams(alpha=1.0, beta=1.0, mu=2.0, tube_radius=0.1)
     q = np.array([0.0, 0.0, 0.15])
     res = embedding_pde_residual(params, PLANE, q)
-    base = el_residual(params, PLANE, q)
+    base = total_gradient(params, PLANE, q)
     # mu * grad(A) points down the outward normal with slope 18.75
     assert res[2] == pytest.approx(base[2] - 2.0 * 18.75, rel=1e-3)
 

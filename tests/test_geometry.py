@@ -298,6 +298,19 @@ def test_closest_point_degenerate_torus_axis_warns():
     assert np.allclose(proj.point, [1.5, 0.0, 0.0])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(z=st.floats(-50.0, 50.0))
+def test_torus_axis_ties_break_to_the_first_toroidal_angle(z):
+    # every toroidal angle ties; the poloidal closed form puts the point at
+    # distance sqrt(R^2 + z^2) - r from the query
+    q = np.array([0.0, 0.0, z])
+    with pytest.warns(DegenerateProjectionWarning):
+        proj = closest_point(TORUS, q)
+    assert proj.u[0] == 0.0
+    expected = math.hypot(2.0, z) - 0.5
+    assert np.linalg.norm(q - proj.point) == pytest.approx(expected, rel=1e-12)
+
+
 def test_chart_projection_evaluation_budget():
     chart, jacobian = compile_chart(["u1", "u2", "0.3*sin(2*u1)*cos(u2)"], 2)
     calls = []
@@ -440,7 +453,7 @@ def test_riemann_vanishes_on_repeated_argument():
 
 
 def test_sectional_plane_flat():
-    k = sectional_curvature(PLANE, [1.0, -2.0], [1.0, 0.2], [0.3, 1.0], method="fd")
+    k = sectional_curvature(PLANE, [1.0, -2.0], [1.0, 0.2], [0.3, 1.0])
     assert abs(k) < 1e-8
 
 
@@ -449,7 +462,7 @@ def test_sectional_affine_chart_flat():
         bounds=[(-1.0, 1.0), (-1.0, 1.0)],
         expressions=["0.5*u1 + 0.2*u2 + 1", "u2 - 0.3*u1", "0.1*u1 + 0.7*u2"],
     )
-    k = sectional_curvature(spec, [0.1, 0.2], [1.0, 0.0], [0.2, 1.0], method="fd")
+    k = sectional_curvature(spec, [0.1, 0.2], [1.0, 0.0], [0.2, 1.0])
     assert abs(k) < 1e-8
 
 
@@ -464,9 +477,9 @@ def test_sectional_sphere_all_radii():
             v, w = rng.standard_normal(2), rng.standard_normal(2)
             if abs(v[0] * w[1] - v[1] * w[0]) < 1e-2:
                 continue
-            k = sectional_curvature(spec, u, v, w, method="fd")
+            k = sectional_curvature(spec, u, v, w)
             assert abs(k - 1.0 / radius**2) < 1e-3
-            assert sectional_curvature(spec, u, v, w) == 1.0 / radius**2
+            assert mean_sectional_curvature(spec, u) == 1.0 / radius**2
 
 
 def test_sectional_scale_and_swap_invariance():
@@ -477,9 +490,9 @@ def test_sectional_scale_and_swap_invariance():
         if abs(v[0] * w[1] - v[1] * w[0]) < 1e-2:
             continue
         c = rng.uniform(0.1, 10.0)
-        k = sectional_curvature(TORUS, u, v, w, method="fd")
-        k_scaled = sectional_curvature(TORUS, u, c * v, w, method="fd")
-        k_swapped = sectional_curvature(TORUS, u, w, v, method="fd")
+        k = sectional_curvature(TORUS, u, v, w)
+        k_scaled = sectional_curvature(TORUS, u, c * v, w)
+        k_swapped = sectional_curvature(TORUS, u, w, v)
         assert abs(k_scaled - k) <= 1e-9 * abs(k)
         assert abs(k_swapped - k) <= 1e-9 * abs(k)
 
@@ -489,9 +502,26 @@ def test_sectional_degenerate_plane_rejected():
         sectional_curvature(SPHERE, [1.0, 1.0], [1.0, 2.0], [2.0, 4.0])
 
 
+def test_sectional_curvature_of_a_batch_of_pairs():
+    # k pairs read one tensor and agree with each pair alone; a single
+    # parallel pair rejects the whole batch
+    rng = np.random.default_rng(31)
+    u = [0.2, -0.3, 0.4]
+    v, w = rng.standard_normal((2, 20, 3))
+    batch = sectional_curvature(G3, u, v, w)
+    assert batch.shape == (20,)
+    alone = [sectional_curvature(G3, u, a, b) for a, b in zip(v, w)]
+    assert np.allclose(batch, alone, rtol=1e-12, atol=0.0)
+    swapped = sectional_curvature(G3, u, 3.0 * w, v)
+    assert np.allclose(swapped, batch, rtol=1e-9, atol=0.0)
+    w[7] = -2.0 * v[7]
+    with pytest.raises(DegeneratePlaneError):
+        sectional_curvature(G3, u, v, w)
+
+
 def test_sectional_stencil_guard_near_sphere_pole():
     with pytest.raises(StencilOutOfDomainError):
-        sectional_curvature(SPHERE, [1e-6, 1.0], [1.0, 0.0], [0.0, 1.0], method="fd")
+        sectional_curvature(SPHERE, [1e-6, 1.0], [1.0, 0.0], [0.0, 1.0])
 
 
 def test_gaussian_curvature_torus_formula():
@@ -522,9 +552,7 @@ def test_gauss_curvature_exact_up_to_the_box_edge():
     for (x, y), value in zip(grid, k):
         assert abs(value - graph_gaussian_curvature(x, y)) <= 1e-12, (x, y)
     with pytest.raises(StencilOutOfDomainError):
-        sectional_curvature(
-            CHART_ALIGN, [1.0, 1.0], [1.0, 0.0], [0.0, 1.0], method="fd"
-        )
+        sectional_curvature(CHART_ALIGN, [1.0, 1.0], [1.0, 0.0], [0.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -551,7 +579,7 @@ def test_gauss_curvature_in_codimension_two(expressions, bounds, expected):
 def test_gauss_curvature_agrees_with_fd_oracle():
     for u in ([0.3, -0.2], [-0.7, 0.55], [0.9, 0.9]):
         e1, e2 = [1.0, 0.0], [0.0, 1.0]
-        k_fd = sectional_curvature(CHART_ALIGN, u, e1, e2, method="fd")
+        k_fd = sectional_curvature(CHART_ALIGN, u, e1, e2)
         assert abs(k_fd - mean_sectional_curvature(CHART_ALIGN, u)) <= 1e-5
 
 
@@ -618,7 +646,7 @@ def test_gauss_equation_three_dim_exact_values():
             fd_mean_curvature(G3, u)
 
 
-def test_auto_sectional_curvature_above_two_dims_is_the_plane():
+def test_sectional_curvature_above_two_dims_is_the_plane():
     # the mean 1/3 of S^2 x R is no plane's curvature: span{e1, e3} contains
     # the flat factor and span{e1, e2} is tangent to the unit sphere
     u = [1.1, 2.0, 0.3]
@@ -652,5 +680,5 @@ def test_curve_has_no_mean_sectional_curvature():
 
 def test_periodic_wrap_matches_curvature_across_seam():
     # poloidal angle 0 sits on the nominal boundary; periodic axes must wrap
-    k_seam = sectional_curvature(TORUS, [1.0, 0.0], [1.0, 0.1], [0.2, 1.0], method="fd")
+    k_seam = sectional_curvature(TORUS, [1.0, 0.0], [1.0, 0.1], [0.2, 1.0])
     assert abs(k_seam - 0.8) < 1e-3

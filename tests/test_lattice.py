@@ -117,6 +117,15 @@ def test_extension_hull_is_last_node():
         extend_map(emap, lattice, [2.2])
 
 
+def test_extension_just_below_the_lower_bound_is_the_first_node():
+    # x = -1e-9 is cell -1 with t = 1 - 1e-9: it snaps to node 0 like
+    # -9e-10 and 0, not to (almost) the image of node 1
+    lattice = LatticeSpec(bounds=np.array([[0.0, 2.0]]), spacing=1.0)
+    emap = EmbeddingMap.from_pairs(generate_lattice(lattice), [[10.0], [20.0], [30.0]])
+    for x in (-1e-9, -9e-10, 0.0):
+        assert extend_map(emap, lattice, [x]).tolist() == [10.0], x
+
+
 def test_jacobian_identity_translation_affine():
     rng = np.random.default_rng(7)
     lattice = cube_lattice()
@@ -171,7 +180,7 @@ def _extend_map_loop(emap, lattice, x):
             raise OutOfHullError(f"x={x} outside the lattice hull on axis {k}")
         i = int(math.floor(cell))
         t = cell - i
-        if t > 1.0 - 1e-9:
+        if t > 1.0 - 1e-9 or i < 0:
             i += 1
             t = 0.0
         elif t < 1e-9:
@@ -232,8 +241,9 @@ def _assert_same(value, reference):
 @st.composite
 def _grids_and_queries(draw):
     """A 1-4-D lattice (single-node axes included), seeded images, and
-    queries at nodes, within 2e-9 cells of a node, on a top face, inside
-    the hull, and beyond it by up to half a cell."""
+    queries at nodes, within 2e-9 cells of a node, up to 1e-9 cells under
+    the lower bound, on a top face, inside the hull, and beyond it by up to
+    half a cell."""
     dim = draw(st.integers(1, 4))
     spacing = draw(st.sampled_from([0.1, 0.2, 0.25, 1.0, 0.3]))
     counts = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
@@ -258,12 +268,18 @@ def _grids_and_queries(draw):
             lo = float(lattice.bounds[k, 0])
             node = lo + spacing * draw(st.integers(0, count - 1))
             top = lo + spacing * (count - 1)
-            kind = draw(st.sampled_from(["node", "near", "top", "inside", "beyond"]))
+            kind = draw(
+                st.sampled_from(["node", "near", "below", "top", "inside", "beyond"])
+            )
             if kind == "node":
                 x.append(node)
             elif kind == "near":
                 # either side of the 1e-9-cell snap and hull tolerances
                 x.append(node + draw(st.floats(-2e-9, 2e-9)) * spacing)
+            elif kind == "below":
+                # within the hull tolerance under the lower bound: cell -1
+                below = draw(st.one_of(st.just(1e-9), st.floats(0.0, 1e-9)))
+                x.append(lo - below * spacing)
             elif kind == "top":
                 x.append(top)
             elif kind == "inside":

@@ -88,7 +88,7 @@ def test_integral_plane_zero():
 
 def fd_integral(spec, u):
     """(2 pi)^2 K from the finite-difference Riemann tensor."""
-    return TWO_PI_SQ * sectional_curvature(spec, u, [1.0, 0.0], [0.0, 1.0], method="fd")
+    return TWO_PI_SQ * sectional_curvature(spec, u, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_integral_fd_pipeline_close_to_analytic():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_embed.energy import EnergyParams, total_energy
 from lattice_embed.geometry import ManifoldSpec, closest_point
@@ -215,3 +217,40 @@ def test_singular_chart_metric_is_a_per_point_error():
     assert len(report.errors) == 1
     assert report.errors[0].startswith("point 0: RankDeficientError: ")
     assert [entry.iterations for entry in emap.entries] == [0, 5]
+
+
+# torus points at distance 0.05 (activation plateau), 0.12-0.14 (decay band,
+# outside and inside the ring and above it) and 1.25 (beyond the support, so
+# skipped)
+_TORUS_FULL = EnergyParams(gamma=0.02, lam=0.1, tube_radius=0.1)
+_TUBE_POINTS = np.array(
+    [
+        [2.55, 0.0, 0.0],
+        [0.0, 2.35, 0.1],
+        [-1.62, 0.1, 0.05],
+        [1.0, -2.2, 0.48],
+        [0.3, 0.4, 0.9],
+        [2.0, 0.0, 0.62],
+    ]
+)
+_SPLIT_CONFIG = SolverConfig(max_iters=20)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(cuts=st.lists(st.integers(1, len(_TUBE_POINTS) - 1), max_size=4, unique=True))
+def test_embed_is_byte_identical_for_any_batch_split(cuts):
+    whole, _ = embed_points(_TORUS_FULL, TORUS, _TUBE_POINTS, _SPLIT_CONFIG)
+    edges = [0, *sorted(cuts), len(_TUBE_POINTS)]
+    parts = [
+        embed_points(_TORUS_FULL, TORUS, _TUBE_POINTS[lo:hi], _SPLIT_CONFIG)[0]
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    split = [entry for emap in parts for entry in emap.entries]
+    assert len(split) == len(whole)
+    for a, b in zip(whole.entries, split):
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.iterations == b.iterations
+        assert np.array([a.residual_norm, a.energy]).tobytes() == (
+            np.array([b.residual_norm, b.energy]).tobytes()
+        )
+        assert (a.converged, a.skipped) == (b.converged, b.skipped)
