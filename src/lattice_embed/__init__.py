@@ -13,7 +13,7 @@ from .energy import (
     total_gradient,
 )
 from .estimator import LatticeEmbedder
-from .field import ActivationField, activation, activation_gradient, regularization_gradient
+from .field import activation, activation_gradient, regularization_gradient
 from .geometry import (
     ManifoldSpec,
     Projection,
@@ -42,7 +42,6 @@ from .lattice import (
     residual_jacobian_derivative,
 )
 from .quadrature import (
-    QuadratureRule,
     build_quadrature,
     curvature_double_integral,
     curvature_integral_gradient,
@@ -61,7 +60,6 @@ from .config import RunConfig, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationField",
     "EmbeddingEntry",
     "EmbeddingMap",
     "EnergyParams",
@@ -69,7 +67,6 @@ __all__ = [
     "LatticeSpec",
     "ManifoldSpec",
     "Projection",
-    "QuadratureRule",
     "RunConfig",
     "SolveReport",
     "SolverConfig",

@@ -16,14 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IndeterminateError, NoSolutionError
-from .field import (
-    ActivationField,
-    _activation_gradient_at,
-    _regularization_gradient_at,
-)
+from .field import _activation_gradient_at, _regularization_gradient_at
 from .geometry import ManifoldSpec, TangentFrame, closest_point, decompose, tangent_frame
 from .quadrature import (
-    QuadratureRule,
     build_quadrature,
     curvature_double_integral,
     curvature_integral_gradient,
@@ -57,13 +52,11 @@ class EnergyParams:
         if not self.tube_radius > 0.0:
             raise ValueError("tube_radius must be positive")
 
-    def field_for(self, spec: ManifoldSpec) -> ActivationField:
-        return ActivationField(manifold=spec, tube_radius=self.tube_radius)
-
-    def rule_for(self, spec: ManifoldSpec) -> QuadratureRule:
-        """A 64-node tangent-sphere rule of the manifold's dimension.  The
-        energy reads no rule; the setup probe of perfbench/run.py
-        (SETUP_PROBE) still calls this, and nothing in the package does."""
+    def rule_for(self, spec: ManifoldSpec) -> Array:
+        """The (64, d) nodes of a tangent-sphere rule of the manifold's
+        dimension.  The energy reads no rule; the setup probe of
+        perfbench/run.py (SETUP_PROBE) still calls this, and nothing in the
+        package does."""
         return build_quadrature(spec.intrinsic_dim, 64)
 
 
@@ -113,7 +106,7 @@ def total_energy(params: EnergyParams, spec: ManifoldSpec, q) -> float:
     if params.gamma != 0.0:
         value += params.gamma * curvature_double_integral(spec, proj.u)
     if params.lam != 0.0:
-        grad_a = _activation_gradient_at(params.field_for(spec), q, proj.point)
+        grad_a = _activation_gradient_at(params, q, proj.point)
         value += 0.5 * params.lam * float(grad_a @ grad_a)
     return value
 
@@ -129,9 +122,7 @@ def total_gradient(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
     if params.gamma != 0.0:
         grad = grad + params.gamma * curvature_integral_gradient(spec, q)
     if params.lam != 0.0:
-        grad = grad + _regularization_gradient_at(
-            params.field_for(spec), q, proj.point, params.lam
-        )
+        grad = grad + _regularization_gradient_at(params, q, proj.point)
     return grad
 
 
@@ -143,9 +134,7 @@ def embedding_pde_residual(params: EnergyParams, spec: ManifoldSpec, q) -> Array
     residual = total_gradient(replace(params, lam=0.0), spec, q)
     if params.mu != 0.0:
         proj = closest_point(spec, q)
-        residual = residual + params.mu * _activation_gradient_at(
-            params.field_for(spec), q, proj.point
-        )
+        residual = residual + params.mu * _activation_gradient_at(params, q, proj.point)
     return residual
 
 

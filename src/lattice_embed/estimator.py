@@ -8,7 +8,7 @@ the training embedding and its solve report as fitted attributes.
 """
 from __future__ import annotations
 
-import inspect
+from dataclasses import KW_ONLY, dataclass, fields
 
 import numpy as np
 
@@ -18,33 +18,8 @@ from .solver import SolverConfig, embed_points
 from .validation import check_points_array
 
 
-class BaseEstimator:
-    """Minimal reimplementation of the sklearn parameter protocol."""
-
-    @classmethod
-    def _get_param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return sorted(
-            p.name
-            for p in signature.parameters.values()
-            if p.name != "self" and p.kind != p.VAR_KEYWORD
-        )
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._get_param_names()}
-
-    def set_params(self, **params) -> "BaseEstimator":
-        valid = set(self._get_param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}"
-                )
-            setattr(self, name, value)
-        return self
-
-
-class LatticeEmbedder(BaseEstimator):
+@dataclass(eq=False)
+class LatticeEmbedder:
     """Project ambient points onto a manifold by per-point energy descent.
 
     Parameters mirror the energy functional and solver settings: alpha/beta
@@ -61,28 +36,29 @@ class LatticeEmbedder(BaseEstimator):
     through unchanged (flagged in the report).
     """
 
-    def __init__(
-        self,
-        manifold="plane",
-        *,
-        manifold_params=None,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        gamma: float = 0.0,
-        lam: float = 0.0,
-        tube_radius: float = 0.1,
-        max_iters: int = 500,
-        grad_tol: float = 1e-6,
-    ):
-        self.manifold = manifold
-        self.manifold_params = manifold_params
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.lam = lam
-        self.tube_radius = tube_radius
-        self.max_iters = max_iters
-        self.grad_tol = grad_tol
+    manifold: str | ManifoldSpec = "plane"
+    _: KW_ONLY
+    manifold_params: dict | None = None
+    alpha: float = 1.0
+    beta: float = 1.0
+    gamma: float = 0.0
+    lam: float = 0.0
+    tube_radius: float = 0.1
+    max_iters: int = 500
+    grad_tol: float = 1e-6
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def set_params(self, **params) -> "LatticeEmbedder":
+        valid = {f.name for f in fields(self)}
+        for name, value in params.items():
+            if name not in valid:
+                raise ValueError(
+                    f"invalid parameter {name!r} for {type(self).__name__}"
+                )
+            setattr(self, name, value)
+        return self
 
     def _build(self) -> tuple[ManifoldSpec, EnergyParams, SolverConfig]:
         if isinstance(self.manifold, ManifoldSpec):

@@ -10,14 +10,18 @@ grad d = (q - p)/d, the unit normal n; hence
     grad A = -S'(t)/r n,   grad (lam/2)||grad A||^2 = lam S'(t) S''(t)/r^3 n,
 
 both exactly zero on the plateau and beyond the support, where S' = 0.
+The radius r is EnergyParams.tube_radius and lam is EnergyParams.lam.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import ManifoldSpec, closest_point, distance_to_manifold
+
+if TYPE_CHECKING:
+    from .energy import EnergyParams
 
 Array = np.ndarray
 
@@ -26,23 +30,10 @@ def _smoothstep(t: float) -> float:
     return t * t * t * (6.0 * t * t - 15.0 * t + 10.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ActivationField:
-    """Tube indicator smoothed to [0, 1] with plateau radius = tube_radius."""
-
-    manifold: ManifoldSpec
-    tube_radius: float
-
-    def __post_init__(self):
-        # negated comparison, so that NaN fails it
-        if not self.tube_radius > 0.0:
-            raise ValueError("tube_radius must be positive")
-
-
-def activation(field: ActivationField, x) -> float:
+def activation(params: EnergyParams, spec: ManifoldSpec, x) -> float:
     """Field value at an ambient point: 1 on the tube, 0 beyond twice the
     tube radius, quintic smoothstep in between."""
-    s = distance_to_manifold(field.manifold, x) / field.tube_radius
+    s = distance_to_manifold(spec, x) / params.tube_radius
     if s <= 1.0:
         return 1.0
     if s >= 2.0:
@@ -50,12 +41,12 @@ def activation(field: ActivationField, x) -> float:
     return 1.0 - _smoothstep(s - 1.0)
 
 
-def _decay_band(field: ActivationField, q: Array, p: Array):
+def _decay_band(params: EnergyParams, q: Array, p: Array):
     """(S'(t), S''(t), unit normal) at q with closest point p, or None off the
     open decay band 0 < t < 1, where S' vanishes."""
     diff = q - p
     dist = float(np.linalg.norm(diff))
-    t = dist / field.tube_radius - 1.0
+    t = dist / params.tube_radius - 1.0
     if not 0.0 < t < 1.0:
         return None
     slope = 30.0 * t * t * (t - 1.0) ** 2
@@ -63,36 +54,32 @@ def _decay_band(field: ActivationField, q: Array, p: Array):
     return slope, bend, diff / dist
 
 
-def _activation_gradient_at(field: ActivationField, q: Array, p: Array) -> Array:
-    band = _decay_band(field, q, p)
+def _activation_gradient_at(params: EnergyParams, q: Array, p: Array) -> Array:
+    band = _decay_band(params, q, p)
     if band is None:
         return np.zeros_like(q)
     slope, _, normal = band
-    return (-slope / field.tube_radius) * normal
+    return (-slope / params.tube_radius) * normal
 
 
-def _regularization_gradient_at(
-    field: ActivationField, q: Array, p: Array, lam: float
-) -> Array:
-    band = _decay_band(field, q, p)
+def _regularization_gradient_at(params: EnergyParams, q: Array, p: Array) -> Array:
+    band = _decay_band(params, q, p)
     if band is None:
         return np.zeros_like(q)
     slope, bend, normal = band
-    return (lam * slope * bend / field.tube_radius**3) * normal
+    return (params.lam * slope * bend / params.tube_radius**3) * normal
 
 
-def activation_gradient(field: ActivationField, x) -> Array:
+def activation_gradient(params: EnergyParams, spec: ManifoldSpec, x) -> Array:
     """Ambient gradient of the activation: -S'(t)/r times the unit normal."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    return _activation_gradient_at(field, x, closest_point(field.manifold, x).point)
+    return _activation_gradient_at(params, x, closest_point(spec, x).point)
 
 
-def regularization_gradient(field: ActivationField, x, lam: float) -> Array:
+def regularization_gradient(params: EnergyParams, spec: ManifoldSpec, x) -> Array:
     """Gradient of the tube-smoothing energy (lam/2)||grad A||^2:
     lam S'(t) S''(t)/r^3 times the unit normal."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if lam == 0.0:
+    if params.lam == 0.0:
         return np.zeros_like(x)
-    return _regularization_gradient_at(
-        field, x, closest_point(field.manifold, x).point, lam
-    )
+    return _regularization_gradient_at(params, x, closest_point(spec, x).point)

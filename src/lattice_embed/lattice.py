@@ -111,6 +111,9 @@ class EmbeddingMap:
     _images: Array = field(init=False, repr=False)
     # the image rows as Python floats, for the interpolation kernel
     _image_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    # the last lattice whose nodes, in order, the points were checked to be:
+    # the interpolation checks each (map, lattice) pair once, not per query
+    _matched: LatticeSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -156,11 +159,20 @@ class EmbeddingMap:
 
 
 def _node_rows(emap: EmbeddingMap, lattice: LatticeSpec) -> tuple:
-    expected = math.prod(lattice.axis_counts)
-    if len(emap) != expected:
-        raise ValueError(
-            f"map has {len(emap)} entries but the lattice has {expected} points"
-        )
+    """The map's image rows, once its points are the lattice's nodes in
+    generate_lattice order, row for row: the kernel reads a node's image by
+    its flat index alone."""
+    if emap._matched is not lattice:
+        expected = math.prod(lattice.axis_counts)
+        if len(emap) != expected:
+            raise ValueError(
+                f"map has {len(emap)} entries but the lattice has {expected} points"
+            )
+        if not np.array_equal(emap._points, generate_lattice(lattice)):
+            raise ValueError(
+                "map points are not the lattice nodes in generate_lattice order"
+            )
+        object.__setattr__(emap, "_matched", lattice)
     return emap._image_rows
 
 

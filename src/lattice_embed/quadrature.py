@@ -17,12 +17,12 @@ _GRADIENT_STEP, of the integral at the closest points of shifted queries,
 all of them in one batch.
 
 The equal-weight rules of build_quadrature are not part of the energy; their
-nodes feed the all-pairs oracle of acceptance criterion 3.
+nodes feed the all-pairs oracle of acceptance criterion 3, which averages
+over the node pairs it keeps and so reads no weights.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,50 +40,18 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Unit direction nodes and equal positive weights on S^{d-1}."""
-
-    intrinsic_dim: int
-    nodes: Array  # (m, d), unit rows
-    weights: Array  # (m,), positive, summing to the sphere measure
-    seed: int
-    resolution: int
-
-    def validate(self) -> None:
-        norms = np.linalg.norm(self.nodes, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("quadrature nodes must be unit vectors")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        total = float(np.sum(self.weights))
-        if abs(total - sphere_measure(self.intrinsic_dim)) > 1e-9:
-            raise ValueError("quadrature weights must sum to the sphere measure")
-
-
-def build_quadrature(d: int, resolution: int, seed: int = 0) -> QuadratureRule:
-    """Equal-weight rule on S^{d-1}: uniform angles for d = 2, seeded
-    pseudo-random unit vectors for d >= 3."""
+def build_quadrature(d: int, resolution: int, seed: int = 0) -> Array:
+    """The (resolution, d) unit nodes of an equal-weight rule on S^{d-1}:
+    uniform angles for d = 2, seeded pseudo-random unit vectors for d >= 3."""
     if d < 2:
         raise ValueError("tangent-sphere quadrature needs d >= 2")
     if resolution < 4:
         raise BadResolutionError(f"resolution {resolution} < 4")
     if d == 2:
         angles = 2.0 * math.pi * np.arange(resolution) / resolution
-        nodes = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    else:
-        raw = np.random.default_rng(seed).standard_normal((resolution, d))
-        nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    weights = np.full(resolution, sphere_measure(d) / resolution)
-    rule = QuadratureRule(
-        intrinsic_dim=d,
-        nodes=nodes,
-        weights=weights,
-        seed=int(seed),
-        resolution=int(resolution),
-    )
-    rule.validate()
-    return rule
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    raw = np.random.default_rng(seed).standard_normal((resolution, d))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 def curvature_double_integral(spec: ManifoldSpec, u):

@@ -100,56 +100,43 @@ def descend_point(
 
 @dataclass(eq=False)
 class SolveReport:
+    """Batch totals over the entries of one embed_points call."""
+
     attempted: int = 0
     skipped: int = 0
     converged_count: int = 0
     fraction_converged: float = 0.0
     max_residual: float = 0.0
     wall_time: float = 0.0  # diagnostic only; never serialized to files
-    traces: list[PointTrace] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
 
-def _solve_one(params, spec, q, config, index):
-    support = 2.0 * params.tube_radius
+def _solve_one(params, spec, q, config, index) -> EmbeddingEntry:
+    """The entry of one seed point.  A point beyond the support is skipped and
+    one whose solve raises keeps its message; both keep the point as image."""
+    image, residual, energy, iterations = q, float("nan"), float("nan"), 0
+    converged = skipped = False
+    error = None
     try:
         proj = closest_point(spec, q)
-        dist = float(np.linalg.norm(q - proj.point))
-        if dist > support:
-            entry = EmbeddingEntry(
-                point=q,
-                image=q,
-                residual_norm=float("nan"),
-                energy=float("nan"),
-                iterations=0,
-                converged=False,
-                skipped=True,
-            )
-            return entry, None
-        image, trace = descend_point(params, spec, q, config)
+        skipped = float(np.linalg.norm(q - proj.point)) > 2.0 * params.tube_radius
+        if not skipped:
+            image, trace = descend_point(params, spec, q, config)
+            residual, energy = trace.final_residual_norm, trace.final_energy
+            iterations, converged = trace.iterations, trace.converged
     except LatticeEmbedError as exc:
         # per-point failures are reported, never abort the batch
-        entry = EmbeddingEntry(
-            point=q,
-            image=q,
-            residual_norm=float("nan"),
-            energy=float("nan"),
-            iterations=0,
-            converged=False,
-            skipped=False,
-            error=f"point {index}: {type(exc).__name__}: {exc}",
-        )
-        return entry, None
-    entry = EmbeddingEntry(
+        error = f"point {index}: {type(exc).__name__}: {exc}"
+    return EmbeddingEntry(
         point=q,
         image=image,
-        residual_norm=trace.final_residual_norm,
-        energy=trace.final_energy,
-        iterations=trace.iterations,
-        converged=trace.converged,
-        skipped=False,
+        residual_norm=residual,
+        energy=energy,
+        iterations=iterations,
+        converged=converged,
+        skipped=skipped,
+        error=error,
     )
-    return entry, trace
 
 
 def embed_points(
@@ -167,27 +154,21 @@ def embed_points(
     """
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     start = time.perf_counter()
-    results = [_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
-    entries = [entry for entry, _ in results]
-    report = SolveReport()
-    report.traces = [trace for _, trace in results if trace is not None]
-    report.errors = [entry.error for entry in entries if entry.error is not None]
-    report.skipped = sum(1 for entry in entries if entry.skipped)
-    report.attempted = len(entries) - report.skipped
-    report.converged_count = sum(
-        1 for entry in entries if entry.converged and not entry.skipped
+    emap = EmbeddingMap(
+        entries=[_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
     )
-    report.fraction_converged = (
-        report.converged_count / report.attempted if report.attempted else 0.0
+    solved = [entry for entry in emap.entries if not entry.skipped]
+    converged = sum(1 for entry in solved if entry.converged)
+    residuals = [e.residual_norm for e in solved if np.isfinite(e.residual_norm)]
+    report = SolveReport(
+        attempted=len(solved),
+        skipped=len(emap) - len(solved),
+        converged_count=converged,
+        fraction_converged=converged / len(solved) if solved else 0.0,
+        max_residual=max(residuals) if residuals else 0.0,
+        wall_time=time.perf_counter() - start,
+        errors=[entry.error for entry in emap.entries if entry.error is not None],
     )
-    residuals = [
-        entry.residual_norm
-        for entry in entries
-        if not entry.skipped and np.isfinite(entry.residual_norm)
-    ]
-    report.max_residual = max(residuals) if residuals else 0.0
-    report.wall_time = time.perf_counter() - start
-    emap = EmbeddingMap(entries=entries)
     return emap, report
 
 

@@ -21,7 +21,7 @@ from .energy import (
     total_energy,
     total_gradient,
 )
-from .field import ActivationField, activation, regularization_gradient
+from .field import activation, activation_gradient, regularization_gradient
 from .geometry import (
     PARALLEL_TOL,
     ManifoldSpec,
@@ -158,17 +158,17 @@ G3 = ManifoldSpec.parametric(
 G3_POINT = np.array([0.2, -0.3, 0.4])
 
 
-def all_pairs_integral(spec, u, rule) -> float:
+def all_pairs_integral(spec, u, nodes) -> float:
     """The tangent-sphere integral as the equal-weight sum over every pair of
-    the rule's nodes that spans a plane, rescaled to the full pair measure.
-    The nodes are directions of a metric-orthonormal frame at chart(u): B
-    with B^T g B = I maps them to chart coordinates."""
-    cos = rule.nodes @ rule.nodes.T
+    the (m, d) unit nodes that spans a plane, rescaled to the full pair
+    measure.  The nodes are directions of a metric-orthonormal frame at
+    chart(u): B with B^T g B = I maps them to chart coordinates."""
+    cos = nodes @ nodes.T
     ii, jj = np.nonzero(1.0 - cos * cos > PARALLEL_TOL)
     basis = np.linalg.inv(np.linalg.cholesky(metric(spec, u))).T
-    nodes = rule.nodes @ basis.T
-    kvals = sectional_curvature(spec, u, nodes[ii], nodes[jj])
-    return sphere_measure(rule.intrinsic_dim) ** 2 * float(np.mean(kvals))
+    directions = nodes @ basis.T
+    kvals = sectional_curvature(spec, u, directions[ii], directions[jj])
+    return sphere_measure(nodes.shape[1]) ** 2 * float(np.mean(kvals))
 
 
 def check_curvature_integral() -> str:
@@ -473,27 +473,24 @@ def check_determinism() -> str:
 
 def check_activation_field() -> str:
     spec = ManifoldSpec.plane()
-    field = ActivationField(manifold=spec, tube_radius=0.1)
-    assert activation(field, np.array([0.3, -0.2, 0.0])) == 1.0
-    assert activation(field, np.array([0.0, 0.0, 0.05])) == 1.0
-    mid = activation(field, np.array([0.1, 0.2, 0.15]))
+    params = EnergyParams(lam=0.7, tube_radius=0.1)
+    assert activation(params, spec, np.array([0.3, -0.2, 0.0])) == 1.0
+    assert activation(params, spec, np.array([0.0, 0.0, 0.05])) == 1.0
+    mid = activation(params, spec, np.array([0.1, 0.2, 0.15]))
     assert abs(mid - 0.5) <= 1e-12, mid
-    assert activation(field, np.array([0.0, 0.0, 0.25])) == 0.0
-    assert activation(field, np.array([0.0, 0.0, -0.31])) == 0.0
+    assert activation(params, spec, np.array([0.0, 0.0, 0.25])) == 0.0
+    assert activation(params, spec, np.array([0.0, 0.0, -0.31])) == 0.0
 
-    lam = 0.7
     worst = 0.0
-    oracle_step = field.tube_radius / 400.0
+    oracle_step = params.tube_radius / 400.0
 
     def smoothing_energy(x):
-        from .field import activation_gradient
-
-        grad = activation_gradient(field, x)
-        return 0.5 * lam * float(grad @ grad)
+        grad = activation_gradient(params, spec, x)
+        return 0.5 * params.lam * float(grad @ grad)
 
     for s in (1.2, 1.3, 1.7):
-        x = np.array([0.05, -0.3, s * field.tube_radius])
-        value = regularization_gradient(field, x, lam)
+        x = np.array([0.05, -0.3, s * params.tube_radius])
+        value = regularization_gradient(params, spec, x)
         fd = np.zeros(3)
         for k in range(3):
             offset = np.zeros(3)

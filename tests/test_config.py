@@ -223,3 +223,12 @@ def test_readme_ini_blocks_parse():
     assert len(blocks) >= 2
     for block in blocks:
         parse_config(block)
+
+
+def test_readme_python_blocks_run():
+    # every documented snippet runs as written, each in a fresh namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})

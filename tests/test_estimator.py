@@ -16,6 +16,9 @@ def test_get_set_params_roundtrip():
     assert est.alpha == 3.0
     with pytest.raises(ValueError):
         est.set_params(nonsense=1)
+    # only the manifold may be passed by position
+    with pytest.raises(TypeError):
+        LatticeEmbedder("plane", None)
 
 
 def test_nonpositive_grad_tol_rejected():

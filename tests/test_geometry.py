@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_embed.energy import EnergyParams
 from lattice_embed.errors import (
     DegeneratePlaneError,
     DegenerateProjectionWarning,
@@ -15,7 +16,6 @@ from lattice_embed.errors import (
 )
 from lattice_embed.estimator import LatticeEmbedder
 from lattice_embed.expressions import compile_chart
-from lattice_embed.field import ActivationField
 from lattice_embed.geometry import (
     ManifoldSpec,
     chart_eval,
@@ -80,7 +80,7 @@ def test_make_manifold_dispatch():
         lambda: ManifoldSpec.sphere(math.nan),
         lambda: ManifoldSpec.torus(math.inf, 0.5),
         lambda: ManifoldSpec.torus(2.0, math.nan),
-        lambda: ActivationField(PLANE, math.nan),
+        lambda: EnergyParams(tube_radius=math.nan),
         lambda: LatticeSpec(bounds=[[0.0, 1.0]], spacing=math.nan),
         lambda: LatticeSpec(bounds=[[0.0, math.inf]], spacing=0.1),
         lambda: ManifoldSpec.parametric([(0.0, math.inf), (0.0, 1.0)], ["u1", "u2", "0"]),

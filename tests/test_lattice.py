@@ -369,6 +369,27 @@ def test_map_size_mismatch_message():
         jacobian_of_extension(emap, lattice, [1.0, 1.0, 1.0], step=0.1)
 
 
+
+@pytest.mark.parametrize(
+    "points",
+    [[[2.0], [1.0], [0.0]], [[5.0], [6.0], [7.0]]],
+    ids=["reversed-nodes", "other-points"],
+)
+def test_map_points_must_be_the_lattice_nodes(points):
+    # the kernel reads a node's image by its flat index, so a map of the
+    # right size over other points, or the nodes in another order, would
+    # return the wrong images without an error
+    lattice = LatticeSpec(bounds=np.array([[0.0, 2.0]]), spacing=1.0)
+    emap = EmbeddingMap.from_pairs(points, [[10.0], [20.0], [30.0]])
+    message = "map points are not the lattice nodes in generate_lattice order"
+    with pytest.raises(ValueError, match=message):
+        extend_map(emap, lattice, [0.0])
+    with pytest.raises(ValueError, match=message):
+        jacobian_of_extension(emap, lattice, [1.0], step=0.1)
+    nodes = EmbeddingMap.from_pairs(generate_lattice(lattice), emap.images())
+    assert extend_map(nodes, lattice, [0.0]).tolist() == [10.0]
+
+
 # --- injectivity ------------------------------------------------------------
 
 

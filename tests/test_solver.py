@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_embed.energy import EnergyParams, total_energy
-from lattice_embed.geometry import ManifoldSpec, closest_point
+from lattice_embed.geometry import ManifoldSpec, closest_point, tangent_frame
 from lattice_embed.lattice import EmbeddingMap, LatticeSpec, generate_lattice
 from lattice_embed.solver import (
     SolverConfig,
@@ -88,6 +88,49 @@ def test_embed_lattice_far_points_skipped():
     for entry in emap.entries:
         assert entry.skipped and not entry.converged
         assert np.array_equal(entry.image, entry.point)
+
+
+
+_SUPPORT = 2.0 * PROJECTION_PARAMS.tube_radius
+# normal offsets in [-0.3, 0.3], at least 1e-9 from the support edge; the
+# second strategy puts them close to the edge, on either side of it
+_OFFSETS = st.one_of(
+    st.floats(-0.3, 0.3).filter(lambda s: abs(abs(s) - _SUPPORT) >= 1e-9),
+    st.builds(
+        lambda sign, side, gap: sign * (_SUPPORT + side * gap),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(2e-9, 0.1),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi), _OFFSETS),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_points_beyond_support_skipped_unchanged(rows):
+    # q = X(u) + s nu(u) lies |s| from the torus, since |s| < r = 0.5
+    seeds = {}
+    for u1, u2, s in rows:
+        frame = tangent_frame(TORUS, np.array([u1, u2]))
+        q = frame.point + s * frame.normal_basis[0]
+        seeds.setdefault(tuple(q.tolist()), (q, s))  # a map holds a point once
+    points = np.array([q for q, _ in seeds.values()])
+    config = SolverConfig(max_iters=3)
+    emap, report = embed_points(PROJECTION_PARAMS, TORUS, points, config)
+    beyond = [abs(s) > _SUPPORT for _, s in seeds.values()]
+    assert [entry.skipped for entry in emap.entries] == beyond
+    assert report.skipped == sum(beyond)
+    for q, entry in zip(points, emap.entries):
+        if entry.skipped:
+            assert entry.image.tobytes() == q.tobytes()
+            assert entry.iterations == 0 and not entry.converged
+            assert np.isnan(entry.residual_norm) and np.isnan(entry.energy)
 
 
 def test_embed_entries_equal_points_solved_alone():
