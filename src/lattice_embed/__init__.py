@@ -6,7 +6,6 @@ from .energy import (
     EnergyParams,
     alignment,
     alignment_gradient,
-    embedding_pde_residual,
     reduced_residual,
     solve_lambda_reduced,
     total_energy,
@@ -18,15 +17,12 @@ from .geometry import (
     ManifoldSpec,
     Projection,
     TangentFrame,
-    chart_eval,
-    chart_jacobian,
     closest_point,
     decompose,
     distance_to_manifold,
     make_manifold,
     mean_sectional_curvature,
     metric,
-    riemann_apply,
     sectional_curvature,
     tangent_frame,
 )
@@ -77,8 +73,6 @@ __all__ = [
     "alignment_gradient",
     "alignment_of_linear_map",
     "build_quadrature",
-    "chart_eval",
-    "chart_jacobian",
     "check_injective_invert",
     "closest_point",
     "curvature_double_integral",
@@ -88,7 +82,6 @@ __all__ = [
     "distance_to_manifold",
     "embed_lattice",
     "embed_points",
-    "embedding_pde_residual",
     "extend_map",
     "generate_lattice",
     "jacobian_of_extension",
@@ -99,7 +92,6 @@ __all__ = [
     "reduced_residual",
     "regularization_gradient",
     "residual_jacobian_derivative",
-    "riemann_apply",
     "sectional_curvature",
     "solve_lambda_reduced",
     "sphere_measure",

@@ -11,7 +11,7 @@ stationarity (Euler-Lagrange) residual alpha(q-p)_T + beta(q-p)_N + gamma K(q)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,23 +32,21 @@ class EnergyParams:
     """Every free constant of the energy functional plus numerical settings.
 
     alpha/beta weight the tangential/normal alignment, gamma the curvature
-    integral, lam the tube-smoothing regularization, mu the tube
-    reinforcement used only in the embedding-PDE diagnostic.
+    integral, lam the tube-smoothing regularization.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 0.0
     lam: float = 0.0
-    mu: float = 0.0
     tube_radius: float = 0.1
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be positive")
-        if not (self.gamma >= 0.0 and self.lam >= 0.0 and self.mu >= 0.0):
-            raise ValueError("gamma, lam and mu must be nonnegative")
+        if not (self.gamma >= 0.0 and self.lam >= 0.0):
+            raise ValueError("gamma and lam must be nonnegative")
         if not self.tube_radius > 0.0:
             raise ValueError("tube_radius must be positive")
 
@@ -124,18 +122,6 @@ def total_gradient(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
     if params.lam != 0.0:
         grad = grad + _regularization_gradient_at(params, q, proj.point)
     return grad
-
-
-def embedding_pde_residual(params: EnergyParams, spec: ManifoldSpec, q) -> Array:
-    """Tube-reinforced stationarity diagnostic: total_gradient without its
-    lam term, plus mu times the activation gradient.  On the activation
-    plateau the mu term vanishes identically."""
-    q = np.asarray(q, dtype=float).reshape(-1)
-    residual = total_gradient(replace(params, lam=0.0), spec, q)
-    if params.mu != 0.0:
-        proj = closest_point(spec, q)
-        residual = residual + params.mu * _activation_gradient_at(params, q, proj.point)
-    return residual
 
 
 def reduced_residual(q, lam: float, curvature: float) -> Array:

@@ -10,12 +10,11 @@ only); that keeps differentiation closed under the grammar.
 Python's own parser reads the text, with ``^`` as ``**``.  A whitelist pass
 then rebuilds every node of the grammar from scratch and rejects anything
 else with `ExpressionError`.  `derivative` differentiates the rebuilt trees
-symbolically, which gives parametric charts an analytic Jacobian without
-pulling in a CAS.  `compile_chart` compiles the chart and its Jacobian once
-each, and `compile_partials` the first and second partials together (the
-second from `derivative` of the Jacobian trees); they evaluate vectorized
-over numpy arrays with no builtins, only numpy's ``sin``, ``cos`` and
-``exp`` in scope.
+symbolically, which gives parametric charts analytic partials without
+pulling in a CAS.  `compile_chart` parses a chart once and compiles the
+chart, its Jacobian and its second partials from those trees; each maps
+parameter arrays (..., d) to a batch of results and runs with no builtins,
+only numpy's ``sin``, ``cos`` and ``exp`` in scope.
 """
 from __future__ import annotations
 
@@ -193,74 +192,67 @@ def _compile(trees: list[ast.expr], names: list[str]) -> Callable:
     return eval(code, {"__builtins__": {}, **_FUNCTIONS})
 
 
+def _batched(
+    trees: list[ast.expr], names: list[str], rows, shape: tuple[int, ...]
+) -> Callable:
+    """Compile trees into u (..., d) -> (..., *shape): their values stacked
+    on a new first axis, the rows selected by rows, then moved last and
+    split to shape.  Constant trees broadcast as they are assigned, so each
+    entry keeps the bits its tree evaluates to, alone or in any batch."""
+    values = _compile(trees, names)
+    d, count = len(names), len(trees)
+
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        out = np.empty((count,) + u.shape[:-1])
+        for k, v in enumerate(values(*(u[..., k] for k in range(d)))):
+            out[k] = v
+        out = out[rows]
+        return out.transpose(*range(1, out.ndim), 0).reshape(u.shape[:-1] + shape)
+
+    return evaluate
+
+
 def compile_chart(
     expressions: Sequence[str], intrinsic_dim: int
-) -> tuple[Callable, Callable]:
-    """Build vectorized chart and analytic Jacobian callables.
+) -> tuple[Callable, tuple[Callable, Callable]]:
+    """Parse a chart once and compile it with its first and second partials.
 
-    The chart maps arrays of shape (..., d) to (..., n); the Jacobian maps a
-    single parameter point (d,) to the (n, d) matrix of partials.
-    Expressions nested too deeply for Python's parser, for the rebuilding
-    and differentiating passes or for the compiler raise ExpressionError.
+    Returns ``(chart, (jacobian, hessian))``, each vectorized over parameter
+    arrays of shape (..., d): the chart gives points (..., n), the Jacobian
+    the partials dX/du_i (..., n, d) and the Hessian the symmetric second
+    partials d2X/du_i du_j (..., n, d, d).  The Jacobian trees are `derivative`
+    of the parsed trees, and each Hessian entry with i <= j is `derivative`
+    of a Jacobian tree by u_j, compiled once.  A point gets the same bits
+    alone and in any batch.  Expressions nested too deeply for Python's
+    parser, for the rebuilding and differentiating passes or for the
+    compiler raise ExpressionError.
     """
-    names = [f"u{k + 1}" for k in range(intrinsic_dim)]
+    d = intrinsic_dim
+    names = [f"u{k + 1}" for k in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    # row of the second partial by u_i and u_j among the compiled i <= j ones
+    pair_row = np.empty((d, d), dtype=np.intp)
+    for p, (i, j) in enumerate(pairs):
+        pair_row[i, j] = pair_row[j, i] = p
     try:
-        trees = [parse_expression(text, intrinsic_dim) for text in expressions]
+        trees = [parse_expression(text, d) for text in expressions]
+        n = len(trees)
+        first = [derivative(t, name) for t in trees for name in names]
+        second = [
+            derivative(first[a * d + i], names[j]) for a in range(n) for i, j in pairs
+        ]
         values = _compile(trees, names)
-        partials = _compile(
-            [derivative(t, name) for t in trees for name in names], names
-        )
+        jacobian = _batched(first, names, slice(None), (n, d))
+        rows = (np.arange(n)[:, None, None] * len(pairs) + pair_row).ravel()
+        hessian = _batched(second, names, rows, (n, d, d))
     except RecursionError:
         raise ExpressionError("chart expression is nested too deeply") from None
-    shape = (len(trees), intrinsic_dim)
 
     def chart(u):
         u = np.asarray(u, dtype=float)
         base = np.zeros(u.shape[:-1])
-        out = values(*(u[..., k] for k in range(intrinsic_dim)))
+        out = values(*(u[..., k] for k in range(d)))
         return np.stack([np.asarray(v, dtype=float) + base for v in out], axis=-1)
 
-    def jacobian(u):
-        u = np.asarray(u, dtype=float)
-        out = partials(*(u[..., k] for k in range(intrinsic_dim)))
-        return np.array([float(v) for v in out], dtype=float).reshape(shape)
-
-    return chart, jacobian
-
-
-def compile_partials(expressions: Sequence[str], intrinsic_dim: int) -> Callable:
-    """Build one vectorized callable for the first and second chart partials.
-
-    It maps parameter arrays of shape (..., d) to the pair (J, H): J of
-    shape (..., n, d) holds the partials dX/du_i and H of shape
-    (..., n, d, d) the symmetric second partials d2X/du_i du_j.  Each H entry
-    with i <= j is compiled once, from `derivative` of the Jacobian tree by
-    u_j, and all of them run in the same call as J.  Expressions nested too
-    deeply raise ExpressionError, as in `compile_chart`.
-    """
-    names = [f"u{k + 1}" for k in range(intrinsic_dim)]
-    pairs = [(i, j) for i in range(intrinsic_dim) for j in range(i, intrinsic_dim)]
-    try:
-        trees = [parse_expression(text, intrinsic_dim) for text in expressions]
-        first = [[derivative(t, name) for name in names] for t in trees]
-        second = [derivative(row[i], names[j]) for row in first for i, j in pairs]
-        values = _compile([e for row in first for e in row] + second, names)
-    except RecursionError:
-        raise ExpressionError("chart expression is nested too deeply") from None
-    n, d = len(trees), intrinsic_dim
-
-    def partials(u):
-        u = np.asarray(u, dtype=float)
-        batch = u.shape[:-1]
-        out = [
-            np.broadcast_to(np.asarray(v, dtype=float), batch)
-            for v in values(*(u[..., k] for k in range(d)))
-        ]
-        jac = np.stack(out[: n * d], axis=-1).reshape(batch + (n, d))
-        upper = np.stack(out[n * d :], axis=-1).reshape(batch + (n, len(pairs)))
-        hess = np.empty(batch + (n, d, d))
-        for p, (i, j) in enumerate(pairs):
-            hess[..., i, j] = hess[..., j, i] = upper[..., p]
-        return jac, hess
-
-    return partials
+    return chart, (jacobian, hessian)

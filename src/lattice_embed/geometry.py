@@ -1,16 +1,19 @@
 """Manifold charts, tangent/normal frames, projection, and curvature kernels.
 
 A manifold is a parametric chart over a rectangular parameter box, with an
-analytic Jacobian.  The built-in constructors (plane, sphere, torus) attach
-their closed-form closest-point projection and Gaussian curvature to the spec
-as `projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
+analytic Jacobian; both map parameter batches (..., d), the chart to points
+(..., n) and the Jacobian to partials (..., n, d).  The built-in constructors
+(plane, sphere, torus) write their Jacobian in closed form and attach their
+closed-form closest-point projection and Gaussian curvature to the spec as
+`projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
 `parametric` chart) projects by damped Gauss-Newton, seeded from a coarse
 parameter grid that each manifold evaluates once, periodic axes wrapping.
-Parametric charts of every dimension d >= 2 get an exact curvature_fn, the
-mean sectional curvature from the Gauss equation over their symbolic second
-partials.  The finite-difference curvature pipeline, built from central
-differences of the pullback metric, remains as the reference oracle
-(`curvature_tensor`, `riemann_apply`, `sectional_curvature`).
+Parametric charts come from one parse of their expressions, which compiles
+the chart, its Jacobian and its second partials; every chart of dimension
+d >= 2 gets an exact curvature_fn, the mean sectional curvature from the
+Gauss equation over those partials.  The finite-difference curvature
+pipeline, built from central differences of the pullback metric, remains as
+the reference oracle (`curvature_tensor`, `sectional_curvature`).
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .expressions import compile_chart, compile_partials
+from .expressions import compile_chart
 
 Array = np.ndarray
 
@@ -50,19 +53,21 @@ PARALLEL_TOL = 1e-8
 class ManifoldSpec:
     """Immutable description of a d-manifold embedded in R^n via one chart.
 
-    projection_fn (ambient q -> Projection) is the closed form of a built-in;
-    None means the generic Gauss-Newton path.  curvature_fn maps parameter
-    arrays (..., d) to the mean sectional curvature Scal / (d (d - 1)) (...),
-    which for a surface is its Gaussian curvature: a closed form for the
-    built-ins, the Gauss equation for parametric charts with d >= 2, None for
-    curves.
+    chart_fn and jacobian_fn map parameter arrays (..., d) to points (..., n)
+    and to the chart partials dX/du_i (..., n, d); a point gets the same bits
+    alone and in any batch.  projection_fn (ambient q -> Projection) is the
+    closed form of a built-in; None means the generic Gauss-Newton path.
+    curvature_fn maps parameter arrays (..., d) to the mean sectional
+    curvature Scal / (d (d - 1)) (...), which for a surface is its Gaussian
+    curvature: a closed form for the built-ins, the Gauss equation for
+    parametric charts with d >= 2, None for curves.
     """
 
     kind: str
     ambient_dim: int
     intrinsic_dim: int
     chart_fn: Callable[[Array], Array]
-    jacobian_fn: Callable[[Array], Array]  # u -> (n, d) chart partials
+    jacobian_fn: Callable[[Array], Array]
     param_bounds: Array  # (d, 2) rows of (lower, upper)
     periodic: tuple[bool, ...] = ()
     projection_fn: Callable[[Array], "Projection"] | None = None
@@ -88,18 +93,13 @@ class ManifoldSpec:
 
     def _check_rank_on_grid(self):
         # Coarse interior sweep; catches degenerate user charts at build time.
-        axes = [
-            np.linspace(lo, hi, 5)[1:-1] for lo, hi in self.param_bounds
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        for u in pts:
-            jac = _jacobian(self, u)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-                raise RankDeficientError(
-                    f"chart Jacobian rank-deficient at interior parameter {u}"
-                )
+        pts = _grid([np.linspace(lo, hi, 5)[1:-1] for lo, hi in self.param_bounds])
+        sv = np.linalg.svd(self.jacobian_fn(pts), compute_uv=False)
+        bad = np.flatnonzero(sv[:, -1] <= 1e-8 * np.maximum(sv[:, 0], 1.0))
+        if bad.size:
+            raise RankDeficientError(
+                f"chart Jacobian rank-deficient at interior parameter {pts[bad[0]]}"
+            )
 
     @property
     def extents(self) -> Array:
@@ -111,9 +111,7 @@ class ManifoldSpec:
         4096 in all) and its chart images, the Gauss-Newton seeds; built on
         first use and kept for the life of the spec."""
         per_axis = max(4, min(32, int(round(4096 ** (1.0 / self.intrinsic_dim)))))
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.param_bounds]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = _grid([np.linspace(lo, hi, per_axis) for lo, hi in self.param_bounds])
         return pts, np.asarray(self.chart_fn(pts), dtype=float)
 
     @classmethod
@@ -128,6 +126,11 @@ class ManifoldSpec:
             out[..., 1] = u[..., 1]
             return out
 
+        def jacobian(u):
+            jac = np.zeros(np.shape(u)[:-1] + (3, 2))
+            jac[..., 0, 0] = jac[..., 1, 1] = 1.0
+            return jac
+
         def project(q):
             u = np.clip(q[:2], bounds[:, 0], bounds[:, 1])
             return Projection(point=np.array([u[0], u[1], 0.0]), u=u)
@@ -138,9 +141,7 @@ class ManifoldSpec:
             intrinsic_dim=2,
             chart_fn=chart,
             param_bounds=bounds,
-            jacobian_fn=lambda u: np.array(
-                [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
-            ),
+            jacobian_fn=jacobian,
             projection_fn=project,
             curvature_fn=lambda u: np.zeros(np.shape(u)[:-1])[()],
         )
@@ -165,16 +166,17 @@ class ManifoldSpec:
             )
 
         def jacobian(u):
-            th, ph = float(u[0]), float(u[1])
-            st, ct = math.sin(th), math.cos(th)
-            sp, cp = math.sin(ph), math.cos(ph)
-            return np.array(
-                [
-                    [r * ct * cp, -r * st * sp],
-                    [r * ct * sp, r * st * cp],
-                    [-r * st, 0.0],
-                ]
-            )
+            u = np.asarray(u, dtype=float)
+            th, ph = u[..., 0], u[..., 1]
+            st, ct = np.sin(th), np.cos(th)
+            sp, cp = np.sin(ph), np.cos(ph)
+            jac = np.zeros(th.shape + (3, 2))
+            jac[..., 0, 0] = r * ct * cp
+            jac[..., 0, 1] = -r * st * sp
+            jac[..., 1, 0] = r * ct * sp
+            jac[..., 1, 1] = r * st * cp
+            jac[..., 2, 0] = -r * st
+            return jac
 
         def project(q):
             nq = float(np.linalg.norm(q))
@@ -222,17 +224,18 @@ class ManifoldSpec:
             )
 
         def jacobian(u):
-            a, b = float(u[0]), float(u[1])
-            sa, ca = math.sin(a), math.cos(a)
-            sb, cb = math.sin(b), math.cos(b)
+            u = np.asarray(u, dtype=float)
+            a, b = u[..., 0], u[..., 1]
+            sa, ca = np.sin(a), np.cos(a)
+            sb, cb = np.sin(b), np.cos(b)
             ring = big + small * cb
-            return np.array(
-                [
-                    [-ring * sa, -small * sb * ca],
-                    [ring * ca, -small * sb * sa],
-                    [0.0, small * cb],
-                ]
-            )
+            jac = np.zeros(a.shape + (3, 2))
+            jac[..., 0, 0] = -ring * sa
+            jac[..., 0, 1] = -small * sb * ca
+            jac[..., 1, 0] = ring * ca
+            jac[..., 1, 1] = -small * sb * sa
+            jac[..., 2, 1] = small * cb
+            return jac
 
         def project(q):
             rho = math.hypot(q[0], q[1])
@@ -292,12 +295,12 @@ class ManifoldSpec:
         periodic: Sequence[bool] | None = None,
     ) -> "ManifoldSpec":
         """Chart from one expression string per ambient coordinate over the
-        parameters u1..ud; its Jacobian is differentiated symbolically, and a
-        chart with d >= 2 gets its mean sectional curvature from the Gauss
-        equation."""
+        parameters u1..ud, parsed once; its Jacobian and second partials are
+        differentiated symbolically from that parse, and a chart with d >= 2
+        gets its mean sectional curvature from the Gauss equation."""
         bounds = np.asarray(bounds, dtype=float)
         d = bounds.shape[0]
-        chart, jacobian = compile_chart(list(expressions), d)
+        chart, (jacobian, hessian) = compile_chart(list(expressions), d)
         return cls(
             kind="parametric",
             ambient_dim=len(expressions),
@@ -306,12 +309,14 @@ class ManifoldSpec:
             param_bounds=bounds,
             periodic=tuple(periodic) if periodic is not None else (),
             jacobian_fn=jacobian,
-            curvature_fn=(
-                _gauss_equation(compile_partials(list(expressions), d), d)
-                if d >= 2
-                else None
-            ),
+            curvature_fn=_gauss_equation(jacobian, hessian, d) if d >= 2 else None,
         )
+
+
+def _grid(axes: list[Array]) -> Array:
+    # the points (m, d) of the product of the axes, the last axis fastest
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def _inner(a: Array, b: Array) -> Array:
@@ -320,9 +325,12 @@ def _inner(a: Array, b: Array) -> Array:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _gauss_equation(partials: Callable, d: int) -> Callable[[Array], Array]:
+def _gauss_equation(
+    jacobian: Callable, hessian: Callable, d: int
+) -> Callable[[Array], Array]:
     """Mean sectional curvature Scal / (d (d - 1)) of a chart d-manifold in
-    any codimension, from its first and second partials (u (..., d) -> J, H).
+    any codimension, from its batched first and second partials, u (..., d)
+    -> J (..., n, d) and H (..., n, d, d).
 
     The Gauss equation gives Scal = |H|^2 - g^ik g^jl <h_ij, h_kl>, where
     h_ij = X_ij - J g^-1 J^T X_ij is the normal part of the second partial
@@ -333,7 +341,7 @@ def _gauss_equation(partials: Callable, d: int) -> Callable[[Array], Array]:
     """
 
     def curvature(u):
-        jac, hess = partials(u)
+        jac, hess = jacobian(u), hessian(u)
         jac_t = np.swapaxes(jac, -1, -2)
         g = jac_t @ jac
         scale = np.prod(np.diagonal(g, axis1=-2, axis2=-1), axis=-1)
@@ -406,22 +414,6 @@ def _check_param(spec: ManifoldSpec, u) -> Array:
     return u
 
 
-def _jacobian(spec: ManifoldSpec, u: Array) -> Array:
-    return np.asarray(spec.jacobian_fn(u), dtype=float)
-
-
-def chart_eval(spec: ManifoldSpec, u) -> Array:
-    """Evaluate the chart at a parameter point inside the parameter box."""
-    u = _check_param(spec, u)
-    return np.asarray(spec.chart_fn(u), dtype=float)
-
-
-def chart_jacobian(spec: ManifoldSpec, u) -> Array:
-    """(n, d) matrix of chart partials."""
-    u = _check_param(spec, u)
-    return _jacobian(spec, u)
-
-
 def tangent_frame(spec: ManifoldSpec, u) -> TangentFrame:
     """Orthonormal tangent/normal frame at chart(u), from one complete QR
     factorization J = QR of the chart Jacobian.
@@ -433,7 +425,7 @@ def tangent_frame(spec: ManifoldSpec, u) -> TangentFrame:
     completion by the first ambient axis the tangent plane does not contain.
     """
     u = _check_param(spec, u)
-    jac = _jacobian(spec, u)
+    jac = spec.jacobian_fn(u)
     d = spec.intrinsic_dim
     q, r = np.linalg.qr(jac, mode="complete")
     pivots = np.diag(r)
@@ -504,7 +496,7 @@ def closest_point(spec: ManifoldSpec, q) -> Projection:
     residual = point - q
     f = float(residual @ residual)
     for _ in range(_GN_MAX_ITERS):
-        jac = _jacobian(spec, u)
+        jac = spec.jacobian_fn(u)
         grad = jac.T @ residual
         hess = jac.T @ jac
         try:
@@ -547,8 +539,7 @@ def distance_to_manifold(spec: ManifoldSpec, q) -> float:
 
 def metric(spec: ManifoldSpec, u) -> Array:
     """Pullback metric g = J^T J at a parameter point."""
-    u = np.asarray(u, dtype=float)
-    jac = _jacobian(spec, u)
+    jac = spec.jacobian_fn(np.asarray(u, dtype=float))
     return jac.T @ jac
 
 
@@ -629,19 +620,6 @@ def curvature_tensor(spec: ManifoldSpec, u) -> tuple[Array, Array, Array]:
         - np.einsum("ljm,mik->lijk", gamma, gamma)
     )
     return g0, gamma, riemann
-
-
-def riemann_apply(spec: ManifoldSpec, u, v, w, z=None) -> Array:
-    """The vector R(v, w)z in chart coordinates; z defaults to w.
-
-    The assembled tensor is antisymmetric in (v, w) by construction, so
-    R(v, w)z = -R(w, v)z holds for any applied vector z.
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    z = w if z is None else np.asarray(z, dtype=float).reshape(-1)
-    _, _, riemann = curvature_tensor(spec, u)
-    return np.einsum("lijk,i,j,k->l", riemann, v, w, z)
 
 
 def mean_sectional_curvature(spec: ManifoldSpec, u) -> Array:

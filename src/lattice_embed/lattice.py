@@ -11,6 +11,7 @@ import numpy as np
 from .errors import EmptyLatticeError, OutOfHullError
 from .energy import alignment
 from .geometry import ManifoldSpec, closest_point, tangent_frame
+from .validation import check_distinct_rows
 
 Array = np.ndarray
 
@@ -119,11 +120,7 @@ class EmbeddingMap:
         entries = tuple(self.entries)
         points = _frozen_copy([e.point for e in entries])
         images = _frozen_copy([e.image for e in entries])
-        seen = set()
-        for index, key in enumerate(map(tuple, points.tolist())):
-            if key in seen:
-                raise ValueError(f"duplicate lattice point {tuple(points[index])} in map")
-            seen.add(key)
+        check_distinct_rows(points, "map")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_images", images)

@@ -17,7 +17,7 @@ from .energy import EnergyParams, total_energy, total_gradient
 from .errors import LatticeEmbedError
 from .geometry import ManifoldSpec, closest_point
 from .lattice import EmbeddingEntry, EmbeddingMap, LatticeSpec, generate_lattice
-from .validation import check_points_array
+from .validation import check_distinct_rows, check_points_array
 
 Array = np.ndarray
 
@@ -147,12 +147,14 @@ def embed_points(
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Run the per-point descent over an arbitrary batch of seed points.
 
-    The whole batch is checked before any point is solved.  Points farther
-    than twice the tube radius from M are outside the activation support and
-    are marked skipped.  Per-point solver errors never abort the
-    batch; output order follows input order.
+    The whole batch is checked before any point is solved, and a row equal
+    to an earlier one raises ValueError.  Points farther than twice the tube
+    radius from M are outside the activation support and are marked skipped.
+    Per-point solver errors never abort the batch; output order follows
+    input order.
     """
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
+    check_distinct_rows(points, "points")
     start = time.perf_counter()
     emap = EmbeddingMap(
         entries=[_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]

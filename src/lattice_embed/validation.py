@@ -21,3 +21,12 @@ def check_points_array(X, *, expected_dim: int | None = None, name: str = "X") -
             f"{name} has {X.shape[1]} features, expected {expected_dim}"
         )
     return X
+
+
+def check_distinct_rows(X: Array, name: str) -> None:
+    """Raise ValueError at the first row of X equal to an earlier one."""
+    seen = set()
+    for index, key in enumerate(map(tuple, X.tolist())):
+        if key in seen:
+            raise ValueError(f"duplicate lattice point {tuple(X[index])} in {name}")
+        seen.add(key)

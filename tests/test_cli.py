@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lattice_embed import cli, expressions, geometry
-from lattice_embed.expressions import compile_partials
+from lattice_embed.expressions import compile_chart
 
 PLANE_SLAB = """
 manifold.kind = plane
@@ -124,25 +124,28 @@ def test_curvature_chart_grid_is_one_batched_gauss_call(
     tmp_path, count_calls, monkeypatch
 ):
     # a chart surface builds no finite-difference Riemann tensor: its grid
-    # evaluates the second partials of all 16 points in one call
+    # evaluates the first and second partials of all 16 points in one call
+    # each, after one batched Jacobian call for the build-time rank check
     tensors = count_calls(geometry.curvature_tensor)
-    shapes = []
+    shapes = {"jacobian": [], "hessian": []}
+
+    def recorded(name, partial):
+        def call(u):
+            shapes[name].append(np.shape(u))
+            return partial(u)
+
+        return call
 
     def recording(*args):
-        partials = compile_partials(*args)
+        chart, partials = compile_chart(*args)
+        return chart, tuple(map(recorded, shapes, partials))
 
-        def recorded(u):
-            shapes.append(np.shape(u))
-            return partials(u)
-
-        return recorded
-
-    monkeypatch.setattr(geometry, "compile_partials", recording)
+    monkeypatch.setattr(geometry, "compile_chart", recording)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, GRAPH_CHART + f"output.directory = {out}\n")
     assert cli.main(["curvature", cfg, "--grid", "4"]) == 0
     assert len(tensors) == 0
-    assert shapes == [(16, 2)]
+    assert shapes == {"jacobian": [(9, 2), (16, 2)], "hessian": [(16, 2)]}
 
 
 @pytest.mark.parametrize("command", ["embed", "curvature", "energy"])

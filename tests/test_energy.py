@@ -8,7 +8,6 @@ from lattice_embed.energy import (
     EnergyParams,
     alignment,
     alignment_gradient,
-    embedding_pde_residual,
     reduced_residual,
     solve_lambda_reduced,
     total_energy,
@@ -36,9 +35,7 @@ def test_params_validation():
         EnergyParams(gamma=-0.5)
     with pytest.raises(ValueError):
         EnergyParams(lam=-0.1)
-    with pytest.raises(ValueError):
-        EnergyParams(mu=-0.2)
-    for name in ("alpha", "beta", "gamma", "lam", "mu", "tube_radius"):
+    for name in ("alpha", "beta", "gamma", "lam", "tube_radius"):
         with pytest.raises(ValueError):
             EnergyParams(**{name: float("nan")})
 
@@ -202,23 +199,6 @@ def test_el_residual_normal_term_only():
     q = np.array([0.3, -0.2, 0.4])
     res = total_gradient(params, PLANE, q)
     assert np.allclose(res, [0.0, 0.0, 2.5 * 0.4], atol=1e-12)
-
-
-def test_embedding_pde_residual_plateau_matches_el():
-    # inside the tube the activation is flat, so the mu term vanishes
-    params = EnergyParams(alpha=1.0, beta=1.0, mu=3.0, tube_radius=0.1)
-    q = np.array([0.2, 0.1, 0.05])
-    res = embedding_pde_residual(params, PLANE, q)
-    assert np.allclose(res, total_gradient(params, PLANE, q), atol=1e-8)
-
-
-def test_embedding_pde_residual_mu_term_in_band():
-    params = EnergyParams(alpha=1.0, beta=1.0, mu=2.0, tube_radius=0.1)
-    q = np.array([0.0, 0.0, 0.15])
-    res = embedding_pde_residual(params, PLANE, q)
-    base = total_gradient(params, PLANE, q)
-    # mu * grad(A) points down the outward normal with slope 18.75
-    assert res[2] == pytest.approx(base[2] - 2.0 * 18.75, rel=1e-3)
 
 
 # --- reduced equation -------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lattice_embed import solver
 from lattice_embed.estimator import LatticeEmbedder
 from lattice_embed.geometry import ManifoldSpec
 
@@ -78,3 +79,10 @@ def test_dimension_check():
     est = LatticeEmbedder(manifold="plane")
     with pytest.raises(ValueError):
         est.fit(np.zeros((3, 2)))
+
+
+def test_duplicate_rows_rejected_before_any_solve(count_calls):
+    descents = count_calls(solver.descend_point)
+    with pytest.raises(ValueError, match="duplicate lattice point"):
+        LatticeEmbedder("plane").fit_transform([[0.1, 0.2, 0.05]] * 2)
+    assert descents == []

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_embed import expressions
 from lattice_embed.errors import ExpressionError
 from lattice_embed.expressions import compile_chart
+from lattice_embed.geometry import ManifoldSpec
 
 
 def component(text, d=2):
     """The chart of a single expression, as a function of (..., d) arrays."""
-    chart, jacobian = compile_chart([text], d)
+    chart, (jacobian, _) = compile_chart([text], d)
     return (lambda u: chart(u)[..., 0]), (lambda u: jacobian(u)[0])
 
 
@@ -56,7 +58,7 @@ def test_jacobian_keeps_the_folded_derivative_arithmetic():
     # quotient rule over an unfolded u2*u2, cos' = 0.0 - sin, power rule
     # e*u^(e-1): charts keep the same Jacobian bits as the symbolic rules
     # (at u1 = 0 the sign of each zero shows which rule ran)
-    _, jacobian = compile_chart(["u1/u2", "cos(u1)", "u1^3"], 2)
+    _, (jacobian, _) = compile_chart(["u1/u2", "cos(u1)", "u1^3"], 2)
     for u in (np.array([0.37, -1.9]), np.array([0.0, 3.0])):
         u1, u2 = u[..., 0], u[..., 1]
         expected = [
@@ -68,14 +70,29 @@ def test_jacobian_keeps_the_folded_derivative_arithmetic():
 
 
 def test_compile_chart_shapes_and_jacobian():
-    chart, jacobian = compile_chart(["u1", "u2", "u1^2 - u2^2"], 2)
+    chart, (jacobian, hessian) = compile_chart(["u1", "u2", "u1^2 - u2^2 + u1*u2"], 2)
     pts = np.array([[0.5, -0.25], [1.0, 2.0]])
     out = chart(pts)
     assert out.shape == (2, 3)
-    assert np.allclose(out[0], [0.5, -0.25, 0.25 - 0.0625])
+    assert np.allclose(out[0], [0.5, -0.25, 0.25 - 0.0625 - 0.125])
     jac = jacobian(np.array([0.5, -0.25]))
     assert jac.shape == (3, 2)
-    assert np.allclose(jac, [[1, 0], [0, 1], [1.0, 0.5]])
+    assert np.allclose(jac, [[1, 0], [0, 1], [0.75, 1.0]])
+    assert jacobian(pts).shape == (2, 3, 2)
+    hess = hessian(pts)
+    assert hess.shape == (2, 3, 2, 2)
+    assert np.all(hess[:, :2] == 0.0)
+    assert np.all(hess[:, 2] == [[2.0, 1.0], [1.0, -2.0]])
+
+
+def test_parametric_spec_parses_each_component_once(count_calls):
+    # the chart, its Jacobian and its second partials share one parse
+    parses = count_calls(expressions.parse_expression)
+    ManifoldSpec.parametric(
+        bounds=[(-1.0, 1.0)] * 3,
+        expressions=["u1", "u2", "u3", "0.4*sin(u1)*cos(2*u2) + 0.3*u3*u3*u1"],
+    )
+    assert len(parses) == 4
 
 
 def test_constant_component_broadcasts():

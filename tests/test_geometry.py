@@ -18,15 +18,12 @@ from lattice_embed.estimator import LatticeEmbedder
 from lattice_embed.expressions import compile_chart
 from lattice_embed.geometry import (
     ManifoldSpec,
-    chart_eval,
-    chart_jacobian,
     closest_point,
     curvature_tensor,
     decompose,
     mean_sectional_curvature,
     make_manifold,
     metric,
-    riemann_apply,
     sectional_curvature,
     tangent_frame,
 )
@@ -49,26 +46,26 @@ def graph_surface():
 
 
 def test_chart_sphere_pole():
-    assert np.allclose(chart_eval(SPHERE, [0.0, 0.0]), [0.0, 0.0, 1.0])
+    assert np.allclose(SPHERE.chart_fn([0.0, 0.0]), [0.0, 0.0, 1.0])
 
 
 def test_chart_plane_identity():
-    assert np.allclose(chart_eval(PLANE, [3.0, 4.0]), [3.0, 4.0, 0.0])
+    assert np.allclose(PLANE.chart_fn([3.0, 4.0]), [3.0, 4.0, 0.0])
 
 
 def test_chart_torus_hand_value():
     # ((R + r cos v) cos u, (R + r cos v) sin u, r sin v) at (0, 0)
-    assert np.allclose(chart_eval(TORUS, [0.0, 0.0]), [2.5, 0.0, 0.0])
+    assert np.allclose(TORUS.chart_fn([0.0, 0.0]), [2.5, 0.0, 0.0])
 
 
 def test_chart_out_of_domain():
     with pytest.raises(OutOfDomainError):
-        chart_eval(SPHERE, [4.0, 0.0])
+        tangent_frame(SPHERE, [4.0, 0.0])
 
 
 def test_make_manifold_dispatch():
     spec = make_manifold("sphere", radius=2.0)
-    assert np.allclose(chart_eval(spec, [0.0, 0.0]), [0.0, 0.0, 2.0])
+    assert np.allclose(spec.chart_fn([0.0, 0.0]), [0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         make_manifold("mystery")
 
@@ -110,7 +107,7 @@ def test_non_finite_constructor_inputs_rejected(build):
 def test_expression_chart_jacobian_is_analytic():
     spec = graph_surface()
     u = np.array([0.4, -0.3])
-    jac = chart_jacobian(spec, u)
+    jac = spec.jacobian_fn(u)
     h = 1e-6
     fd = np.zeros((3, 2))
     for k in range(2):
@@ -139,6 +136,15 @@ def test_sphere_near_pole_normal_is_radial():
 def test_sphere_pole_rank_deficient():
     with pytest.raises(RankDeficientError):
         tangent_frame(SPHERE, [0.0, 0.0])
+
+
+def test_chart_rank_deficient_inside_the_box_is_rejected():
+    # J = [[1, 0], [u2, u1], [0, 0]] loses rank on the line u1 = 0, which
+    # the build-time sweep of interior grid points crosses
+    with pytest.raises(RankDeficientError, match="interior parameter"):
+        ManifoldSpec.parametric(
+            bounds=[(-1.0, 1.0), (-1.0, 1.0)], expressions=["u1", "u1*u2", "0"]
+        )
 
 
 def test_frame_invariants_on_random_charts():
@@ -273,7 +279,7 @@ def test_builtin_without_closed_forms_takes_generic_path():
     for _ in range(20):
         a, b = rng.uniform(0.0, 2.0 * math.pi, size=2)
         normal = [math.cos(b) * math.cos(a), math.cos(b) * math.sin(a), math.sin(b)]
-        q = chart_eval(TORUS, [a, b]) + rng.uniform(-0.3, 0.3) * np.array(normal)
+        q = TORUS.chart_fn([a, b]) + rng.uniform(-0.3, 0.3) * np.array(normal)
         proj = closest_point(generic, q)
         assert np.linalg.norm(proj.point - closest_point(TORUS, q).point) <= 1e-7
     assert "seed_grid" in vars(generic)  # Gauss-Newton ran from its seed grid
@@ -312,7 +318,7 @@ def test_torus_axis_ties_break_to_the_first_toroidal_angle(z):
 
 
 def test_chart_projection_evaluation_budget():
-    chart, jacobian = compile_chart(["u1", "u2", "0.3*sin(2*u1)*cos(u2)"], 2)
+    chart, (jacobian, _) = compile_chart(["u1", "u2", "0.3*sin(2*u1)*cos(u2)"], 2)
     calls = []
 
     def counted_chart(u):
@@ -416,9 +422,15 @@ def test_projection_idempotent(spec, box, tol, s1, s2, offset):
 # --- curvature --------------------------------------------------------------
 
 
+def riemann_of(spec, u, v, w, z):
+    """R(v, w)z in chart coordinates from the tensor curvature_tensor returns."""
+    return np.einsum("lijk,i,j,k->l", curvature_tensor(spec, u)[2], v, w, z)
+
+
 def test_riemann_plane_zero():
-    out = riemann_apply(PLANE, [0.2, 0.4], [1.0, 2.0], [0.5, -1.0])
+    out = riemann_of(PLANE, [0.2, 0.4], [1.0, 2.0], [0.5, -1.0], [0.5, -1.0])
     assert np.allclose(out, 0.0)
+    assert np.allclose(curvature_tensor(PLANE, [0.2, 0.4])[2], 0.0)
 
 
 def test_riemann_sphere_constant_curvature_identity():
@@ -427,19 +439,19 @@ def test_riemann_sphere_constant_curvature_identity():
     g = metric(SPHERE, u)
     chol = np.linalg.cholesky(g)
     basis = np.linalg.inv(chol).T
-    v, w = basis[:, 0] * 0 + basis @ np.array([1.0, 0.0]), basis @ np.array([0.0, 1.0])
-    value = riemann_apply(SPHERE, u, v, w) @ g @ v
+    v, w = basis @ np.array([1.0, 0.0]), basis @ np.array([0.0, 1.0])
+    value = riemann_of(SPHERE, u, v, w, w) @ g @ v
     assert abs(value - 1.0) < 1e-4
 
 
 def test_riemann_antisymmetry():
-    # R(v, w)w = -R(w, v)w with the applied vector held fixed
+    # R(v, w)z = -R(w, v)z with the applied vector held fixed
     rng = np.random.default_rng(13)
     u = np.array([1.0, 2.0])
     for _ in range(10):
         v, w = rng.standard_normal(2), rng.standard_normal(2)
-        lhs = riemann_apply(TORUS, u, v, w)
-        rhs = -riemann_apply(TORUS, u, w, v, w)
+        lhs = riemann_of(TORUS, u, v, w, w)
+        rhs = -riemann_of(TORUS, u, w, v, w)
         scale = max(np.max(np.abs(lhs)), 1e-12)
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-6
 
@@ -448,7 +460,7 @@ def test_riemann_vanishes_on_repeated_argument():
     rng = np.random.default_rng(17)
     for _ in range(10):
         v = rng.standard_normal(2)
-        out = riemann_apply(TORUS, [1.0, 2.0], v, v)
+        out = riemann_of(TORUS, [1.0, 2.0], v, v, v)
         assert np.max(np.abs(out)) < 1e-8
 
 
@@ -599,6 +611,27 @@ def test_curvature_batch_equals_points_byte_for_byte(spec, shares):
     alone = np.array([spec.curvature_fn(u) for u in batch], dtype=float)
     assert together.shape == (len(batch),)
     assert together.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec", [PLANE, SPHERE, TORUS, CHART_ALIGN, G3], ids=["plane", "sphere", "torus", "chart", "g3"]
+)
+def test_jacobian_batch_equals_points_byte_for_byte(spec):
+    # jacobian_fn maps (..., d) to (..., n, d): every row gets the bits it
+    # gets alone, in batches of 1 to 1000 rows, with two batch axes, and from
+    # strided and Fortran-ordered input
+    d, n = spec.intrinsic_dim, spec.ambient_dim
+    lo, hi = spec.param_bounds.T
+    u = lo + (hi - lo) * np.random.default_rng(21).random((1000, d))
+    alone = np.array([spec.jacobian_fn(row) for row in u])
+    assert alone.shape == (1000, n, d)
+    for size in (1, 2, 7, 1000):
+        together = spec.jacobian_fn(u[:size])
+        assert together.shape == (size, n, d)
+        assert together.tobytes() == alone[:size].tobytes()
+    assert spec.jacobian_fn(u.reshape(10, 100, d)).tobytes() == alone.tobytes()
+    assert spec.jacobian_fn(u[::7]).tobytes() == alone[::7].tobytes()
+    assert spec.jacobian_fn(np.asfortranarray(u)).tobytes() == alone.tobytes()
 
 
 def g3_mean_curvature(u1, u2, u3):
