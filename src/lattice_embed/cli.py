@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .energy import total_energy, total_gradient
 from .errors import ConfigError, LatticeEmbedError, ValidationError
-from .geometry import mean_sectional_curvature
+from .geometry import _grid, mean_sectional_curvature
 from .quadrature import sphere_measure
 from .solver import embed_lattice
 from .validation import check_points_array
@@ -132,12 +132,9 @@ def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
         raise ValidationError(f"--grid must be at least 1, got {grid}")
     spec = config.manifold()
     # cell centers keep off chart degeneracies such as the sphere's poles
-    axes = [
-        lo + (np.arange(grid) + 0.5) * (hi - lo) / grid
-        for lo, hi in spec.param_bounds
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
+    points = _grid(
+        [lo + (np.arange(grid) + 0.5) * (hi - lo) / grid for lo, hi in spec.param_bounds]
+    )
     # K is the mean sectional curvature (a surface's Gaussian curvature), and
     # C = |S^{d-1}|^2 K is quadrature.curvature_double_integral from the
     # same K: the whole grid takes one curvature call

@@ -12,9 +12,14 @@ then rebuilds every node of the grammar from scratch and rejects anything
 else with `ExpressionError`.  `derivative` differentiates the rebuilt trees
 symbolically, which gives parametric charts analytic partials without
 pulling in a CAS.  `compile_chart` parses a chart once and compiles the
-chart, its Jacobian and its second partials from those trees; each maps
-parameter arrays (..., d) to a batch of results and runs with no builtins,
-only numpy's ``sin``, ``cos`` and ``exp`` in scope.
+chart, its Jacobian and its second partials from those trees, each run with
+no builtins, only numpy's ``sin``, ``cos`` and ``exp`` in scope.
+
+`assemble` lays out every chart map of the package, these and the
+built-in manifolds' closed forms alike: a function of u1..ud returning a
+tuple of entries becomes a map from parameter arrays (..., d) to (..., *shape)
+that assigns each entry as it evaluates, so a point gets the same bits alone
+and in any batch and a zero keeps the sign its formula gives.
 """
 from __future__ import annotations
 
@@ -192,25 +197,28 @@ def _compile(trees: list[ast.expr], names: list[str]) -> Callable:
     return eval(code, {"__builtins__": {}, **_FUNCTIONS})
 
 
-def _batched(
-    trees: list[ast.expr], names: list[str], rows, shape: tuple[int, ...]
-) -> Callable:
-    """Compile trees into u (..., d) -> (..., *shape): their values stacked
-    on a new first axis, the rows selected by rows, then moved last and
-    split to shape.  Constant trees broadcast as they are assigned, so each
-    entry keeps the bits its tree evaluates to, alone or in any batch."""
-    values = _compile(trees, names)
-    d, count = len(names), len(trees)
+def assemble(shape: tuple[int, ...], rows=slice(None)) -> Callable:
+    """The one layout of every chart map: ``assemble(shape, rows)(entries)``,
+    for a function of u1..ud that returns a tuple of entries, is the map
+    u (..., d) -> (..., *shape).  The entries are stacked on a new first
+    axis, the rows selected by rows (the Hessian's i <= j row map), then
+    moved last and split to shape.  Each entry is assigned into the stack,
+    so a constant entry broadcasts and every entry keeps the bits it
+    evaluates to, the sign of a zero included, alone or in any batch."""
 
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty((count,) + u.shape[:-1])
-        for k, v in enumerate(values(*(u[..., k] for k in range(d)))):
-            out[k] = v
-        out = out[rows]
-        return out.transpose(*range(1, out.ndim), 0).reshape(u.shape[:-1] + shape)
+    def wrap(entries: Callable) -> Callable:
+        def evaluate(u):
+            u = np.asarray(u, dtype=float)
+            values = entries(*(u[..., k] for k in range(u.shape[-1])))
+            out = np.empty((len(values),) + u.shape[:-1])
+            for k, v in enumerate(values):
+                out[k] = v
+            out = out[rows]
+            return out.transpose(*range(1, out.ndim), 0).reshape(u.shape[:-1] + shape)
 
-    return evaluate
+        return evaluate
+
+    return wrap
 
 
 def compile_chart(
@@ -242,17 +250,10 @@ def compile_chart(
         second = [
             derivative(first[a * d + i], names[j]) for a in range(n) for i, j in pairs
         ]
-        values = _compile(trees, names)
-        jacobian = _batched(first, names, slice(None), (n, d))
+        chart = assemble((n,))(_compile(trees, names))
+        jacobian = assemble((n, d))(_compile(first, names))
         rows = (np.arange(n)[:, None, None] * len(pairs) + pair_row).ravel()
-        hessian = _batched(second, names, rows, (n, d, d))
+        hessian = assemble((n, d, d), rows)(_compile(second, names))
     except RecursionError:
         raise ExpressionError("chart expression is nested too deeply") from None
-
-    def chart(u):
-        u = np.asarray(u, dtype=float)
-        base = np.zeros(u.shape[:-1])
-        out = values(*(u[..., k] for k in range(d)))
-        return np.stack([np.asarray(v, dtype=float) + base for v in out], axis=-1)
-
     return chart, (jacobian, hessian)

@@ -2,12 +2,15 @@
 
 A manifold is a parametric chart over a rectangular parameter box, with an
 analytic Jacobian; both map parameter batches (..., d), the chart to points
-(..., n) and the Jacobian to partials (..., n, d).  The built-in constructors
-(plane, sphere, torus) write their Jacobian in closed form and attach their
-closed-form closest-point projection and Gaussian curvature to the spec as
-`projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
-`parametric` chart) projects by damped Gauss-Newton, seeded from a coarse
-parameter grid that each manifold evaluates once, periodic axes wrapping.
+(..., n) and the Jacobian to partials (..., n, d), and `expressions.assemble`
+lays out both from a tuple of entries, so a point gets the same bits alone
+and in any batch and a zero keeps the sign its formula gives.  The built-in
+constructors (plane, sphere, torus) give their chart and Jacobian entries in
+closed form and attach their closed-form closest-point projection and
+Gaussian curvature to the spec as `projection_fn` and `curvature_fn`.  A spec
+without a projection_fn (every `parametric` chart) projects by damped
+Gauss-Newton, seeded from a coarse parameter grid that each manifold
+evaluates once, periodic axes wrapping.
 Parametric charts come from one parse of their expressions, which compiles
 the chart, its Jacobian and its second partials; every chart of dimension
 d >= 2 gets an exact curvature_fn, the mean sectional curvature from the
@@ -33,7 +36,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .expressions import compile_chart
+from .expressions import assemble, compile_chart
 
 Array = np.ndarray
 
@@ -55,7 +58,7 @@ class ManifoldSpec:
 
     chart_fn and jacobian_fn map parameter arrays (..., d) to points (..., n)
     and to the chart partials dX/du_i (..., n, d); a point gets the same bits
-    alone and in any batch.  projection_fn (ambient q -> Projection) is the
+    alone and in any batch (`expressions.assemble` lays out every kind's).  projection_fn (ambient q -> Projection) is the
     closed form of a built-in; None means the generic Gauss-Newton path.
     curvature_fn maps parameter arrays (..., d) to the mean sectional
     curvature Scal / (d (d - 1)) (...), which for a surface is its Gaussian
@@ -119,18 +122,6 @@ class ManifoldSpec:
         """The z=0 plane in R^3, chart (u1, u2) -> (u1, u2, 0)."""
         bounds = np.asarray(bounds, dtype=float)
 
-        def chart(u):
-            u = np.asarray(u, dtype=float)
-            out = np.zeros(u.shape[:-1] + (3,))
-            out[..., 0] = u[..., 0]
-            out[..., 1] = u[..., 1]
-            return out
-
-        def jacobian(u):
-            jac = np.zeros(np.shape(u)[:-1] + (3, 2))
-            jac[..., 0, 0] = jac[..., 1, 1] = 1.0
-            return jac
-
         def project(q):
             u = np.clip(q[:2], bounds[:, 0], bounds[:, 1])
             return Projection(point=np.array([u[0], u[1], 0.0]), u=u)
@@ -139,9 +130,9 @@ class ManifoldSpec:
             kind="plane",
             ambient_dim=3,
             intrinsic_dim=2,
-            chart_fn=chart,
+            chart_fn=assemble((3,))(lambda u1, u2: (u1, u2, 0.0)),
             param_bounds=bounds,
-            jacobian_fn=jacobian,
+            jacobian_fn=assemble((3, 2))(lambda u1, u2: (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)),
             projection_fn=project,
             curvature_fn=lambda u: np.zeros(np.shape(u)[:-1])[()],
         )
@@ -153,30 +144,24 @@ class ManifoldSpec:
             raise ValueError("sphere radius must be positive and finite")
         r = float(radius)
 
-        def chart(u):
-            u = np.asarray(u, dtype=float)
-            th, ph = u[..., 0], u[..., 1]
-            return np.stack(
-                [
-                    r * np.sin(th) * np.cos(ph),
-                    r * np.sin(th) * np.sin(ph),
-                    r * np.cos(th),
-                ],
-                axis=-1,
+        @assemble((3,))
+        def chart(th, ph):
+            return (
+                r * np.sin(th) * np.cos(ph),
+                r * np.sin(th) * np.sin(ph),
+                r * np.cos(th),
             )
 
-        def jacobian(u):
-            u = np.asarray(u, dtype=float)
-            th, ph = u[..., 0], u[..., 1]
+        @assemble((3, 2))
+        def jacobian(th, ph):
             st, ct = np.sin(th), np.cos(th)
             sp, cp = np.sin(ph), np.cos(ph)
-            jac = np.zeros(th.shape + (3, 2))
-            jac[..., 0, 0] = r * ct * cp
-            jac[..., 0, 1] = -r * st * sp
-            jac[..., 1, 0] = r * ct * sp
-            jac[..., 1, 1] = r * st * cp
-            jac[..., 2, 0] = -r * st
-            return jac
+            # one row per ambient axis: dX/dth, dX/dph
+            return (
+                r * ct * cp, -r * st * sp,
+                r * ct * sp, r * st * cp,
+                -r * st, 0.0,
+            )
 
         def project(q):
             nq = float(np.linalg.norm(q))
@@ -215,27 +200,22 @@ class ManifoldSpec:
             raise ValueError("torus needs 0 < minor_radius < major_radius < inf")
         big, small = float(major_radius), float(minor_radius)
 
-        def chart(u):
-            u = np.asarray(u, dtype=float)
-            a, b = u[..., 0], u[..., 1]
+        @assemble((3,))
+        def chart(a, b):
             ring = big + small * np.cos(b)
-            return np.stack(
-                [ring * np.cos(a), ring * np.sin(a), small * np.sin(b)], axis=-1
-            )
+            return ring * np.cos(a), ring * np.sin(a), small * np.sin(b)
 
-        def jacobian(u):
-            u = np.asarray(u, dtype=float)
-            a, b = u[..., 0], u[..., 1]
+        @assemble((3, 2))
+        def jacobian(a, b):
             sa, ca = np.sin(a), np.cos(a)
             sb, cb = np.sin(b), np.cos(b)
             ring = big + small * cb
-            jac = np.zeros(a.shape + (3, 2))
-            jac[..., 0, 0] = -ring * sa
-            jac[..., 0, 1] = -small * sb * ca
-            jac[..., 1, 0] = ring * ca
-            jac[..., 1, 1] = -small * sb * sa
-            jac[..., 2, 1] = small * cb
-            return jac
+            # one row per ambient axis: dX/da, dX/db
+            return (
+                -ring * sa, -small * sb * ca,
+                ring * ca, -small * sb * sa,
+                0.0, small * cb,
+            )
 
         def project(q):
             rho = math.hypot(q[0], q[1])

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EmptyLatticeError, OutOfHullError
 from .energy import alignment
-from .geometry import ManifoldSpec, closest_point, tangent_frame
+from .geometry import ManifoldSpec, _grid, closest_point, tangent_frame
 from .validation import check_distinct_rows
 
 Array = np.ndarray
@@ -68,12 +68,12 @@ class LatticeSpec:
 
 def generate_lattice(spec: LatticeSpec) -> Array:
     """All lattice points in lexicographic order (last axis fastest)."""
-    axes = [
-        spec.bounds[k, 0] + spec.spacing * np.arange(count)
-        for k, count in enumerate(spec.axis_counts)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _grid(
+        [
+            spec.bounds[k, 0] + spec.spacing * np.arange(count)
+            for k, count in enumerate(spec.axis_counts)
+        ]
+    )
 
 
 def _frozen_copy(values) -> Array:

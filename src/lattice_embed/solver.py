@@ -182,13 +182,12 @@ def embed_lattice(
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Embed every lattice point, seeding zeta(q) = q (Dirichlet-style
     anchoring at the lattice)."""
-    points = generate_lattice(lattice)
     if lattice.dim != spec.ambient_dim:
         raise ValueError(
             f"lattice dimension {lattice.dim} != ambient dimension "
             f"{spec.ambient_dim}"
         )
-    return embed_points(params, spec, points, config)
+    return embed_points(params, spec, generate_lattice(lattice), config)
 
 
 @dataclass(frozen=True, eq=False)

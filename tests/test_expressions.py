@@ -102,6 +102,13 @@ def test_constant_component_broadcasts():
     assert np.all(out[:, 2] == 0.0)
 
 
+def test_chart_keeps_the_signed_zero_of_its_formula():
+    # the chart lays out its entries as the Jacobian and Hessian do: u1 at
+    # -0.0 stays -0.0, and the constant 0 is +0.0
+    chart, _ = compile_chart(["u1", "u2", "0"], 2)
+    assert chart(np.array([-0.0, 1.0])).tobytes() == np.array([-0.0, 1.0, 0.0]).tobytes()
+
+
 def test_parenthesised_exponent_accepted():
     # the one widening over the hand-written parser, which rejected u1^(2)
     grid = np.random.default_rng(5).uniform(0.5, 2, size=(6, 2))

@@ -613,25 +613,111 @@ def test_curvature_batch_equals_points_byte_for_byte(spec, shares):
     assert together.tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize(
-    "spec", [PLANE, SPHERE, TORUS, CHART_ALIGN, G3], ids=["plane", "sphere", "torus", "chart", "g3"]
-)
-def test_jacobian_batch_equals_points_byte_for_byte(spec):
-    # jacobian_fn maps (..., d) to (..., n, d): every row gets the bits it
-    # gets alone, in batches of 1 to 1000 rows, with two batch axes, and from
+def assert_batch_equals_points(fn, spec, shape):
+    # fn maps (..., d) to (..., *shape): every row gets the bits it gets
+    # alone, in batches of 1 to 1000 rows, with two batch axes, and from
     # strided and Fortran-ordered input
-    d, n = spec.intrinsic_dim, spec.ambient_dim
+    d = spec.intrinsic_dim
     lo, hi = spec.param_bounds.T
     u = lo + (hi - lo) * np.random.default_rng(21).random((1000, d))
-    alone = np.array([spec.jacobian_fn(row) for row in u])
-    assert alone.shape == (1000, n, d)
+    alone = np.array([fn(row) for row in u])
+    assert alone.shape == (1000,) + shape
     for size in (1, 2, 7, 1000):
-        together = spec.jacobian_fn(u[:size])
-        assert together.shape == (size, n, d)
+        together = fn(u[:size])
+        assert together.shape == (size,) + shape
         assert together.tobytes() == alone[:size].tobytes()
-    assert spec.jacobian_fn(u.reshape(10, 100, d)).tobytes() == alone.tobytes()
-    assert spec.jacobian_fn(u[::7]).tobytes() == alone[::7].tobytes()
-    assert spec.jacobian_fn(np.asfortranarray(u)).tobytes() == alone.tobytes()
+    assert fn(u.reshape(10, 100, d)).tobytes() == alone.tobytes()
+    assert fn(u[::7]).tobytes() == alone[::7].tobytes()
+    assert fn(np.asfortranarray(u)).tobytes() == alone.tobytes()
+
+
+BATCH_SPECS = pytest.mark.parametrize(
+    "spec", [PLANE, SPHERE, TORUS, CHART_ALIGN, G3], ids=["plane", "sphere", "torus", "chart", "g3"]
+)
+
+
+@BATCH_SPECS
+def test_jacobian_batch_equals_points_byte_for_byte(spec):
+    shape = (spec.ambient_dim, spec.intrinsic_dim)
+    assert_batch_equals_points(spec.jacobian_fn, spec, shape)
+
+
+@BATCH_SPECS
+def test_chart_batch_equals_points_byte_for_byte(spec):
+    assert_batch_equals_points(spec.chart_fn, spec, (spec.ambient_dim,))
+
+
+# The built-ins' charts and Jacobians as they were laid out by hand, with
+# np.zeros and np.stack, before their entries went through `assemble`: the
+# oracle their closed forms keep bit for bit.
+
+
+def hand_plane(u):
+    chart = np.zeros(u.shape[:-1] + (3,))
+    chart[..., 0] = u[..., 0]
+    chart[..., 1] = u[..., 1]
+    jac = np.zeros(u.shape[:-1] + (3, 2))
+    jac[..., 0, 0] = jac[..., 1, 1] = 1.0
+    return chart, jac
+
+
+def hand_sphere(u, r):
+    th, ph = u[..., 0], u[..., 1]
+    chart = np.stack(
+        [r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph), r * np.cos(th)],
+        axis=-1,
+    )
+    st, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(ph), np.cos(ph)
+    jac = np.zeros(th.shape + (3, 2))
+    jac[..., 0, 0] = r * ct * cp
+    jac[..., 0, 1] = -r * st * sp
+    jac[..., 1, 0] = r * ct * sp
+    jac[..., 1, 1] = r * st * cp
+    jac[..., 2, 0] = -r * st
+    return chart, jac
+
+
+def hand_torus(u, big, small):
+    a, b = u[..., 0], u[..., 1]
+    ring = big + small * np.cos(b)
+    chart = np.stack([ring * np.cos(a), ring * np.sin(a), small * np.sin(b)], axis=-1)
+    sa, ca = np.sin(a), np.cos(a)
+    sb, cb = np.sin(b), np.cos(b)
+    ring = big + small * cb
+    jac = np.zeros(a.shape + (3, 2))
+    jac[..., 0, 0] = -ring * sa
+    jac[..., 0, 1] = -small * sb * ca
+    jac[..., 1, 0] = ring * ca
+    jac[..., 1, 1] = -small * sb * sa
+    jac[..., 2, 1] = small * cb
+    return chart, jac
+
+
+@pytest.mark.parametrize(
+    "spec, hand",
+    [
+        (PLANE, hand_plane),
+        (SPHERE, lambda u: hand_sphere(u, 1.0)),
+        (ManifoldSpec.sphere(2.5), lambda u: hand_sphere(u, 2.5)),
+        (TORUS, lambda u: hand_torus(u, 2.0, 0.5)),
+        (ManifoldSpec.torus(3.0, 1.25), lambda u: hand_torus(u, 3.0, 1.25)),
+    ],
+    ids=["plane", "sphere", "sphere2.5", "torus", "torus3-1.25"],
+)
+def test_builtin_maps_keep_the_hand_laid_out_bits(spec, hand):
+    # every pair of exact 0, -0.0, pi/2, pi, 2 pi and -pi, then 100,000
+    # seeded parameters inside and outside the box
+    special = [0.0, -0.0, math.pi / 2, math.pi, 2.0 * math.pi, -math.pi]
+    rows = np.array([(a, b) for a in special for b in special])
+    u = np.concatenate([rows, np.random.default_rng(23).uniform(-7, 7, (100_000, 2))])
+    chart, jac = hand(u)
+    assert spec.chart_fn(u).tobytes() == chart.tobytes()
+    assert spec.jacobian_fn(u).tobytes() == jac.tobytes()
+    for row in rows:
+        chart, jac = hand(row)
+        assert spec.chart_fn(row).tobytes() == chart.tobytes()
+        assert spec.jacobian_fn(row).tobytes() == jac.tobytes()
 
 
 def g3_mean_curvature(u1, u2, u3):

@@ -159,6 +159,14 @@ def test_embed_points_rejects_bad_rows_before_solving(count_calls):
     assert solved == []
 
 
+def test_embed_lattice_checks_the_dimension_before_generating(count_calls):
+    generated = count_calls(generate_lattice)
+    lattice = LatticeSpec(bounds=[(-0.2, 0.2), (-0.2, 0.2)], spacing=0.1)
+    with pytest.raises(ValueError, match="lattice dimension 2 != ambient dimension 3"):
+        embed_lattice(PROJECTION_PARAMS, PLANE, lattice, SolverConfig())
+    assert generated == []
+
+
 def test_embed_aggregates_per_point_errors():
     # alpha != beta forces frame construction; the z-axis point projects to
     # the sphere pole where the chart is rank-deficient
