@@ -20,7 +20,6 @@ from .errors import ConfigError, LatticeEmbedError, ValidationError
 from .geometry import _grid, mean_sectional_curvature
 from .quadrature import sphere_measure
 from .solver import embed_lattice
-from .validation import check_points_array
 
 
 def _fmt(value) -> str:
@@ -127,7 +126,7 @@ def run_embed(config: RunConfig) -> int:
     return 0 if report.converged_count == report.attempted else 1
 
 
-def run_curvature(config: RunConfig, *, grid: int = 16) -> int:
+def run_curvature(config: RunConfig, *, grid: int) -> int:
     if grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {grid}")
     spec = config.manifold()
@@ -176,11 +175,7 @@ def _read_points(path: Path, width: int) -> np.ndarray:
 def run_energy(config: RunConfig, points_file: str) -> int:
     spec = config.manifold()
     params = config.energy_params()
-    points = check_points_array(
-        _read_points(Path(points_file), spec.ambient_dim),
-        expected_dim=spec.ambient_dim,
-        name="points",
-    )
+    points = _read_points(Path(points_file), spec.ambient_dim)
     rows = []
     for q in points:
         value = total_energy(params, spec, q)

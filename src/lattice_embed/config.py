@@ -4,7 +4,9 @@ The format is a plain key-value document: ``section.key = value`` lines or
 ``[section]`` headers followed by ``key = value`` lines, with ``#`` comments.
 Parsing is total and side-effect free; every omitted key gets a documented
 default, unknown keys are rejected, and ``manifold.kind`` is the only
-required key.
+required key.  The energy, field, lattice and solver keys only translate
+names: ``EnergyParams``, ``LatticeSpec`` and ``SolverConfig`` own their
+defaults and range checks, and a range error names the key that fed it.
 """
 from __future__ import annotations
 
@@ -12,11 +14,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .energy import EnergyParams
+from .energy import EnergyParams, check_curvature_term
 from .errors import (
-    ConfigError,
     LatticeEmbedError,
     MissingRequiredError,
     TypeMismatchError,
@@ -62,17 +61,17 @@ _SCHEMA: dict[str, dict] = {
         "spacing": (float, 0.25, repr),
     },
     "energy": {
-        "alpha": (float, 1.0, repr),
-        "beta": (float, 1.0, repr),
-        "gamma": (float, 0.0, repr),
-        "lambda": (float, 0.0, repr),
+        "alpha": (float, EnergyParams.alpha, repr),
+        "beta": (float, EnergyParams.beta, repr),
+        "gamma": (float, EnergyParams.gamma, repr),
+        "lambda": (float, EnergyParams.lam, repr),
     },
     "field": {
-        "tube_radius": (float, 0.1, repr),
+        "tube_radius": (float, EnergyParams.tube_radius, repr),
     },
     "solver": {
-        "max_iters": (int, 500, repr),
-        "grad_tol": (float, 1e-6, repr),
+        "max_iters": (int, SolverConfig.max_iters, repr),
+        "grad_tol": (float, SolverConfig.grad_tol, repr),
     },
     "output": {
         "directory": (str, "out", str),
@@ -91,67 +90,45 @@ _KIND_KEYS = {
     **{kind: tuple(radii) for kind, radii in _RADII.items()},
     "parametric": ("chart", "bounds"),
 }
+# the value type and constructor argument each energy, field, lattice and
+# solver key feeds; each range message starts with its argument's name
+_FEEDS = {
+    ("energy", "alpha"): (EnergyParams, "alpha"),
+    ("energy", "beta"): (EnergyParams, "beta"),
+    ("energy", "gamma"): (EnergyParams, "gamma"),
+    ("energy", "lambda"): (EnergyParams, "lam"),
+    ("field", "tube_radius"): (EnergyParams, "tube_radius"),
+    ("lattice", "bounds"): (LatticeSpec, "bounds"),
+    ("lattice", "spacing"): (LatticeSpec, "spacing"),
+    ("solver", "max_iters"): (SolverConfig, "max_iters"),
+    ("solver", "grad_tol"): (SolverConfig, "grad_tol"),
+}
 
 
 @dataclass(eq=True)
 class RunConfig:
-    """Fully resolved configuration; values live in per-section dicts."""
+    """Fully resolved configuration: the values per section, and the
+    library objects parse_config built from them once (immutable, so one
+    serves every command run on this configuration).  Equality compares
+    the values."""
 
-    sections: dict = field(default_factory=dict)
-    # the spec manifold() built first; specs are immutable, so one serves
-    # every command run on this configuration
-    _spec: ManifoldSpec | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    sections: dict
+    _built: dict = field(compare=False, repr=False)
 
     def get(self, section: str, key: str):
         return self.sections[section][key]
 
-    # -- assembly into library objects ------------------------------------
-
     def manifold(self) -> ManifoldSpec:
-        """The configured manifold, built on the first call (parse_config
-        makes it, to validate the manifold settings) and shared after."""
-        if self._spec is None:
-            self._spec = self._build_manifold()
-        return self._spec
-
-    def _build_manifold(self) -> ManifoldSpec:
-        m = self.sections["manifold"]
-        kind = m["kind"]
-        if kind == "parametric":
-            if not m["chart"] or m["bounds"] is None:
-                raise MissingRequiredError(
-                    "parametric manifolds need manifold.chart and manifold.bounds"
-                )
-            expressions = [s.strip() for s in m["chart"].split(";") if s.strip()]
-            return make_manifold(
-                "parametric", expressions=expressions, bounds=m["bounds"]
-            )
-        if kind not in _RADII:
-            raise ValidationError(f"manifold.kind: unknown kind {kind!r}")
-        radii = {
-            arg: m[key] for key, arg in _RADII[kind].items() if m[key] is not None
-        }
-        return make_manifold(kind, **radii)
+        return self._built[ManifoldSpec]
 
     def energy_params(self) -> EnergyParams:
-        e, f = self.sections["energy"], self.sections["field"]
-        return EnergyParams(
-            alpha=e["alpha"],
-            beta=e["beta"],
-            gamma=e["gamma"],
-            lam=e["lambda"],
-            tube_radius=f["tube_radius"],
-        )
+        return self._built[EnergyParams]
 
     def lattice(self) -> LatticeSpec:
-        lat = self.sections["lattice"]
-        return LatticeSpec(bounds=np.asarray(lat["bounds"]), spacing=lat["spacing"])
+        return self._built[LatticeSpec]
 
     def solver(self) -> SolverConfig:
-        s = self.sections["solver"]
-        return SolverConfig(max_iters=s["max_iters"], grad_tol=s["grad_tol"])
+        return self._built[SolverConfig]
 
     # -- canonical text form ----------------------------------------------
 
@@ -167,45 +144,51 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        """Hash of every setting but output.directory, which says where the
+        results go and changes none of them."""
+        text = "".join(
+            line
+            for line in self.to_text().splitlines(keepends=True)
+            if not line.startswith("output.")
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _validate(config: RunConfig) -> None:
-    def require(section, key, ok, why):
-        if not ok:
-            raise ValidationError(f"{section}.{key}: {why}")
-
-    e = config.sections["energy"]
-    require("energy", "alpha", e["alpha"] > 0.0, "must be positive")
-    require("energy", "beta", e["beta"] > 0.0, "must be positive")
-    require("energy", "gamma", e["gamma"] >= 0.0, "must be nonnegative")
-    require("energy", "lambda", e["lambda"] >= 0.0, "must be nonnegative")
-    f = config.sections["field"]
-    require("field", "tube_radius", f["tube_radius"] > 0.0, "must be positive")
-    lat = config.sections["lattice"]
-    require("lattice", "spacing", lat["spacing"] > 0.0, "must be positive")
-    require(
-        "lattice",
-        "bounds",
-        all(lo <= hi for lo, hi in lat["bounds"]),
-        "needs lower <= upper per axis",
-    )
-    s = config.sections["solver"]
-    require("solver", "max_iters", s["max_iters"] >= 1, "must be at least 1")
-    require("solver", "grad_tol", s["grad_tol"] > 0.0, "must be positive")
-    m = config.sections["manifold"]
-    if m["kind"] in _KIND_KEYS:  # an unknown kind fails in manifold()
-        for key in sorted(set(m) - {"kind", *_KIND_KEYS[m["kind"]]}):
-            require(
-                "manifold",
-                key,
-                m[key] is None,
-                f"not read by manifold kind {m['kind']!r}",
+def _build_manifold(m: dict) -> ManifoldSpec:
+    kind = m["kind"]
+    if kind not in _KIND_KEYS:
+        raise ValidationError(f"manifold.kind: unknown kind {kind!r}")
+    for key in sorted(set(m) - {"kind", *_KIND_KEYS[kind]}):
+        if m[key] is not None:
+            raise ValidationError(f"manifold.{key}: not read by manifold kind {kind!r}")
+    # the constructors check the radii jointly (0 < r < R), so only these
+    # checks can name the key
+    for key in ("r", "R"):
+        if m[key] is not None and not m[key] > 0.0:
+            raise ValidationError(f"manifold.{key}: must be positive")
+    if kind == "parametric":
+        if not m["chart"] or m["bounds"] is None:
+            raise MissingRequiredError(
+                "parametric manifolds need manifold.chart and manifold.bounds"
             )
-    if m["r"] is not None:
-        require("manifold", "r", m["r"] > 0.0, "must be positive")
-    if m["R"] is not None:
-        require("manifold", "R", m["R"] > 0.0, "must be positive")
+        expressions = [s.strip() for s in m["chart"].split(";") if s.strip()]
+        args = {"expressions": expressions, "bounds": m["bounds"]}
+    else:
+        args = {arg: m[key] for key, arg in _RADII[kind].items() if m[key] is not None}
+    try:
+        return make_manifold(kind, **args)
+    except (LatticeEmbedError, ValueError) as exc:
+        raise ValidationError(f"manifold: {exc}") from exc
+
+
+def _key_error(owner: type, exc: Exception) -> ValidationError:
+    """The value type's message with its leading argument name replaced by
+    the key that fed the argument."""
+    arg, _, why = str(exc).partition(" ")
+    for (section, key), feed in _FEEDS.items():
+        if feed == (owner, arg):
+            return ValidationError(f"{section}.{key}: {why}")
+    return ValidationError(str(exc))
 
 
 def _convert(section: str, key: str, raw: str):
@@ -276,20 +259,22 @@ def parse_config(text: str) -> RunConfig:
             else:
                 resolved[key] = default
         sections[section] = resolved
-    config = RunConfig(sections=sections)
-    _validate(config)
+    # every library object the configuration describes, built once, by type
+    args = {owner: {} for owner, _ in _FEEDS.values()}
+    for (section, key), (owner, arg) in _FEEDS.items():
+        args[owner][arg] = sections[section][key]
+    built = {}
+    for owner, kwargs in args.items():
+        try:
+            built[owner] = owner(**kwargs)
+        except (LatticeEmbedError, ValueError) as exc:
+            raise _key_error(owner, exc) from exc
+    built[ManifoldSpec] = _build_manifold(sections["manifold"])
     try:
-        config.manifold()  # surfaces bad manifold settings as config errors
-    except ConfigError:
-        raise
-    except (LatticeEmbedError, ValueError) as exc:
-        raise ValidationError(f"manifold: {exc}") from exc
-    if config.manifold().intrinsic_dim < 2 and sections["energy"]["gamma"] > 0.0:
-        raise ValidationError(
-            "energy.gamma: a curve has no sectional curvature; "
-            "the curvature term needs dimension >= 2"
-        )
-    return config
+        check_curvature_term(built[EnergyParams], built[ManifoldSpec])
+    except ValueError as exc:
+        raise _key_error(EnergyParams, exc) from exc
+    return RunConfig(sections, built)
 
 
 def default_config() -> RunConfig:

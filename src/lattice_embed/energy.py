@@ -42,13 +42,15 @@ class EnergyParams:
     tube_radius: float = 0.1
 
     def __post_init__(self):
-        # negated comparisons, so that NaN fails them
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError("alpha and beta must be positive")
-        if not (self.gamma >= 0.0 and self.lam >= 0.0):
-            raise ValueError("gamma and lam must be nonnegative")
-        if not self.tube_radius > 0.0:
-            raise ValueError("tube_radius must be positive")
+        # one check per field, its message starting with the field's name
+        # (config names the key from it); negated comparisons, so that NaN
+        # fails them
+        for name in ("alpha", "beta", "tube_radius"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("gamma", "lam"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def rule_for(self, spec: ManifoldSpec) -> Array:
         """The (64, d) nodes of a tangent-sphere rule of the manifold's
@@ -56,6 +58,16 @@ class EnergyParams:
         perfbench/run.py (SETUP_PROBE) still calls this, and nothing in the
         package does."""
         return build_quadrature(spec.intrinsic_dim, 64)
+
+
+def check_curvature_term(params: EnergyParams, spec: ManifoldSpec) -> None:
+    """Raise ValueError when gamma > 0 on a curve: the curvature term needs
+    a tangent 2-plane, so every point's solve would fail."""
+    if params.gamma > 0.0 and spec.intrinsic_dim < 2:
+        raise ValueError(
+            "gamma must be 0 on a curve: a curve has no sectional curvature, "
+            "and the curvature term needs dimension >= 2"
+        )
 
 
 def alignment(params: EnergyParams, frame: TangentFrame, p, q) -> float:

@@ -24,7 +24,8 @@ class LatticeEmbedder:
 
     Parameters mirror the energy functional and solver settings: alpha/beta
     weight the tangential/normal alignment, gamma the curvature double
-    integral at the closest point, lam the tube-smoothing regularization.
+    integral at the closest point, lam the tube-smoothing regularization;
+    ``EnergyParams`` and ``SolverConfig`` own their defaults and ranges.
     ``manifold`` is a built-in name (with ``manifold_params``) or a ready
     ManifoldSpec.
 
@@ -39,13 +40,13 @@ class LatticeEmbedder:
     manifold: str | ManifoldSpec = "plane"
     _: KW_ONLY
     manifold_params: dict | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 0.0
-    lam: float = 0.0
-    tube_radius: float = 0.1
-    max_iters: int = 500
-    grad_tol: float = 1e-6
+    alpha: float = EnergyParams.alpha
+    beta: float = EnergyParams.beta
+    gamma: float = EnergyParams.gamma
+    lam: float = EnergyParams.lam
+    tube_radius: float = EnergyParams.tube_radius
+    max_iters: int = SolverConfig.max_iters
+    grad_tol: float = SolverConfig.grad_tol
 
     def get_params(self, deep: bool = True) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -40,9 +40,9 @@ class LatticeSpec:
         if not self.spacing > 0.0:
             raise ValueError("spacing must be positive")
         if not np.all(np.isfinite(bounds)):
-            raise ValueError("lattice bounds must be finite")
+            raise ValueError("bounds must be finite")
         if np.any(bounds[:, 0] > bounds[:, 1]):
-            raise EmptyLatticeError("lattice bounds need lower <= upper per axis")
+            raise EmptyLatticeError("bounds need lower <= upper per axis")
         spans = bounds[:, 1] - bounds[:, 0]
         # the epsilon absorbs float noise in span / spacing
         counts = tuple(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyParams, total_energy, total_gradient
+from .energy import EnergyParams, check_curvature_term, total_energy, total_gradient
 from .errors import LatticeEmbedError
 from .geometry import ManifoldSpec, closest_point
 from .lattice import EmbeddingEntry, EmbeddingMap, LatticeSpec, generate_lattice
@@ -147,14 +147,16 @@ def embed_points(
 ) -> tuple[EmbeddingMap, SolveReport]:
     """Run the per-point descent over an arbitrary batch of seed points.
 
-    The whole batch is checked before any point is solved, and a row equal
-    to an earlier one raises ValueError.  Points farther than twice the tube
+    The whole batch and the settings are checked before any point is
+    solved: a row equal to an earlier one, or gamma > 0 on a curve, raises
+    ValueError.  Points farther than twice the tube
     radius from M are outside the activation support and are marked skipped.
     Per-point solver errors never abort the batch; output order follows
     input order.
     """
     points = check_points_array(points, expected_dim=spec.ambient_dim, name="points")
     check_distinct_rows(points, "points")
+    check_curvature_term(params, spec)
     start = time.perf_counter()
     emap = EmbeddingMap(
         entries=[_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]

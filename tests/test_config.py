@@ -1,16 +1,20 @@
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lattice_embed.config import default_config, parse_config
+from lattice_embed.energy import EnergyParams
 from lattice_embed.errors import (
     MissingRequiredError,
     TypeMismatchError,
     UnknownKeyError,
     ValidationError,
 )
+from lattice_embed.estimator import LatticeEmbedder
+from lattice_embed.solver import SolverConfig
 
 
 def test_minimal_sphere_config_gets_documented_defaults():
@@ -98,10 +102,26 @@ def test_non_finite_bounds_named(text, key):
         parse_config(f"manifold.kind = plane\n{text}\n")
 
 
-def test_negative_alpha_rejected_by_name():
-    with pytest.raises(ValidationError) as err:
-        parse_config("manifold.kind = plane\nenergy.alpha = -1\n")
-    assert "energy.alpha" in str(err.value)
+@pytest.mark.parametrize(
+    "line",
+    [
+        "energy.alpha = -1",
+        "energy.beta = 0",
+        "energy.gamma = -0.5",
+        "energy.lambda = -1",
+        "field.tube_radius = 0",
+        "lattice.bounds = 1:0, 0:1, 0:0",
+        "lattice.spacing = -0.25",
+        "solver.max_iters = 0",
+        "solver.grad_tol = 0",
+    ],
+    ids=lambda line: line.split(" =")[0],
+)
+def test_out_of_range_value_named(line):
+    # the value types check the ranges; the message still names the key
+    key = line.split(" =")[0]
+    with pytest.raises(ValidationError, match=f"^{re.escape(key)}: "):
+        parse_config(f"manifold.kind = plane\n{line}\n")
 
 
 def test_curvature_term_on_a_curve_rejected_by_name():
@@ -136,6 +156,14 @@ def test_digest_changes_with_values():
     a = parse_config("manifold.kind = plane\n")
     b = parse_config("manifold.kind = plane\nenergy.alpha = 2\n")
     assert a.digest() != b.digest()
+
+
+def test_digest_ignores_output_directory():
+    # where the results go changes none of them
+    a = parse_config("manifold.kind = plane\n")
+    b = parse_config("manifold.kind = plane\noutput.directory = elsewhere\n")
+    assert a.to_text() != b.to_text()
+    assert a.digest() == b.digest()
 
 
 def test_parametric_chart_from_config():
@@ -202,10 +230,20 @@ def test_keys_the_kind_does_not_read_are_config_errors(manifold, key):
         parse_config(manifold)
 
 
-def test_manifold_built_once_per_config():
+def test_library_objects_built_once_per_config():
     config = parse_config("manifold.kind = torus\n")
-    assert config.manifold() is config.manifold()
+    for build in (config.manifold, config.energy_params, config.lattice, config.solver):
+        assert build() is build()
     assert config == parse_config("manifold.kind = torus\n")
+
+
+def test_defaults_are_the_value_types_own():
+    config = parse_config("manifold.kind = plane\n")
+    assert config.energy_params() == EnergyParams()
+    assert config.solver() == SolverConfig()
+    estimator = LatticeEmbedder().get_params()
+    for name, value in {**asdict(EnergyParams()), **asdict(SolverConfig())}.items():
+        assert estimator[name] == value
 
 
 def test_default_config_helper():

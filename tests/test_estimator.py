@@ -3,7 +3,7 @@ import pytest
 
 from lattice_embed import solver
 from lattice_embed.estimator import LatticeEmbedder
-from lattice_embed.geometry import ManifoldSpec
+from lattice_embed.geometry import ManifoldSpec, make_manifold
 
 
 def test_get_set_params_roundtrip():
@@ -85,4 +85,15 @@ def test_duplicate_rows_rejected_before_any_solve(count_calls):
     descents = count_calls(solver.descend_point)
     with pytest.raises(ValueError, match="duplicate lattice point"):
         LatticeEmbedder("plane").fit_transform([[0.1, 0.2, 0.05]] * 2)
+    assert descents == []
+
+
+def test_curvature_term_on_a_curve_rejected_before_any_solve(count_calls):
+    # a curve has no tangent 2-plane, so every point's solve would fail
+    curve = make_manifold(
+        "parametric", expressions=["cos(u1)", "sin(u1)", "0.2*u1"], bounds=[(0, 6)]
+    )
+    descents = count_calls(solver.descend_point)
+    with pytest.raises(ValueError, match="^gamma must be 0 on a curve"):
+        LatticeEmbedder(curve, gamma=0.02).fit([[1.0, 0.05, 0.0], [0.0, 1.0, 0.3]])
     assert descents == []
