@@ -1,4 +1,4 @@
-"""Tiny expression language for user-supplied parametric charts.
+"""Tiny expression language for manifold charts.
 
 Grammar: ``+ - * / ^`` with usual precedence, parentheses, the functions
 ``sin``, ``cos``, ``exp`` of one argument, decimal literals as Python reads
@@ -10,20 +10,19 @@ only); that keeps differentiation closed under the grammar.
 Python's own parser reads the text, with ``^`` as ``**``.  A whitelist pass
 then rebuilds every node of the grammar from scratch and rejects anything
 else with `ExpressionError`.  `derivative` differentiates the rebuilt trees
-symbolically, which gives parametric charts analytic partials without
-pulling in a CAS.  `compile_chart` parses a chart once and compiles the
-chart, its Jacobian and its second partials from those trees, each run with
-no builtins, only numpy's ``sin``, ``cos`` and ``exp`` in scope.
-
-`assemble` lays out every chart map of the package, these and the
-built-in manifolds' closed forms alike: a function of u1..ud returning a
-tuple of entries becomes a map from parameter arrays (..., d) to (..., *shape)
-that assigns each entry as it evaluates, so a point gets the same bits alone
-and in any batch and a zero keeps the sign its formula gives.
+symbolically, negating with a unary minus, which gives every chart analytic
+partials without pulling in a CAS.  `compile_chart` parses a chart once and
+compiles the chart, its Jacobian and its second partials from those trees,
+each run with no builtins, only numpy's ``sin``, ``cos`` and ``exp`` in
+scope; it is the one source of every manifold's chart maps, the built-ins'
+included, and keeps the maps of recently compiled charts.  Each map assigns its entries as they
+evaluate, so a point gets the same bits alone and in any batch and a zero
+keeps the sign its formula gives.
 """
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import string
 from typing import Callable, Sequence
@@ -72,6 +71,8 @@ def _sub(a, b):
         return a
     if _is_const(a) and _is_const(b):
         return _const(a.value - b.value)
+    if _is_const(a, 0.0):
+        return _neg(b)
     return _binary(a, ast.Sub, b)
 
 
@@ -88,11 +89,11 @@ def _mul(a, b):
 
 
 def _neg(a):
-    # 0.0 - a, not a unary minus, so the sign of a zero result is that of
-    # the subtraction
+    # a unary minus, not 0.0 - a: it flips the sign of a zero, as the
+    # leading minus of a closed form such as -r*sin(u1) does
     if _is_const(a):
         return _const(-a.value)
-    return _sub(_const(0.0), a)
+    return ast.UnaryOp(ast.USub(), a)
 
 
 def parse_expression(text: str, intrinsic_dim: int) -> ast.expr:
@@ -160,6 +161,8 @@ def derivative(node: ast.expr, name: str) -> ast.expr:
         return _const(0.0)
     if isinstance(node, ast.Name):
         return _const(1.0 if node.id == name else 0.0)
+    if isinstance(node, ast.UnaryOp):
+        return _neg(derivative(node.operand, name))
     if isinstance(node, ast.Call):
         arg = node.args[0]
         if node.func.id == "sin":
@@ -197,8 +200,8 @@ def _compile(trees: list[ast.expr], names: list[str]) -> Callable:
     return eval(code, {"__builtins__": {}, **_FUNCTIONS})
 
 
-def assemble(shape: tuple[int, ...], rows=slice(None)) -> Callable:
-    """The one layout of every chart map: ``assemble(shape, rows)(entries)``,
+def _assemble(shape: tuple[int, ...], rows=slice(None)) -> Callable:
+    """The one layout of every chart map: ``_assemble(shape, rows)(entries)``,
     for a function of u1..ud that returns a tuple of entries, is the map
     u (..., d) -> (..., *shape).  The entries are stacked on a new first
     axis, the rows selected by rows (the Hessian's i <= j row map), then
@@ -232,11 +235,18 @@ def compile_chart(
     partials d2X/du_i du_j (..., n, d, d).  The Jacobian trees are `derivative`
     of the parsed trees, and each Hessian entry with i <= j is `derivative`
     of a Jacobian tree by u_j, compiled once.  A point gets the same bits
-    alone and in any batch.  Expressions nested too deeply for Python's
-    parser, for the rebuilding and differentiating passes or for the
-    compiler raise ExpressionError.
+    alone and in any batch.  The maps are pure, so a recently compiled chart
+    returns the same three maps again without a parse.  Expressions nested
+    too deeply for Python's parser, for the rebuilding and differentiating
+    passes or for the compiler raise ExpressionError.
     """
-    d = intrinsic_dim
+    return _compile_chart(tuple(expressions), intrinsic_dim)
+
+
+@functools.lru_cache(maxsize=32)
+def _compile_chart(
+    expressions: tuple[str, ...], d: int
+) -> tuple[Callable, tuple[Callable, Callable]]:
     names = [f"u{k + 1}" for k in range(d)]
     pairs = [(i, j) for i in range(d) for j in range(i, d)]
     # row of the second partial by u_i and u_j among the compiled i <= j ones
@@ -250,10 +260,10 @@ def compile_chart(
         second = [
             derivative(first[a * d + i], names[j]) for a in range(n) for i, j in pairs
         ]
-        chart = assemble((n,))(_compile(trees, names))
-        jacobian = assemble((n, d))(_compile(first, names))
+        chart = _assemble((n,))(_compile(trees, names))
+        jacobian = _assemble((n, d))(_compile(first, names))
         rows = (np.arange(n)[:, None, None] * len(pairs) + pair_row).ravel()
-        hessian = assemble((n, d, d), rows)(_compile(second, names))
+        hessian = _assemble((n, d, d), rows)(_compile(second, names))
     except RecursionError:
         raise ExpressionError("chart expression is nested too deeply") from None
     return chart, (jacobian, hessian)

@@ -2,19 +2,19 @@
 
 A manifold is a parametric chart over a rectangular parameter box, with an
 analytic Jacobian; both map parameter batches (..., d), the chart to points
-(..., n) and the Jacobian to partials (..., n, d), and `expressions.assemble`
-lays out both from a tuple of entries, so a point gets the same bits alone
-and in any batch and a zero keeps the sign its formula gives.  The built-in
-constructors (plane, sphere, torus) give their chart and Jacobian entries in
-closed form and attach their closed-form closest-point projection and
-Gaussian curvature to the spec as `projection_fn` and `curvature_fn`.  A spec
-without a projection_fn (every `parametric` chart) projects by damped
-Gauss-Newton, seeded from a coarse parameter grid that each manifold
-evaluates once, periodic axes wrapping.
-Parametric charts come from one parse of their expressions, which compiles
-the chart, its Jacobian and its second partials; every chart of dimension
-d >= 2 gets an exact curvature_fn, the mean sectional curvature from the
-Gauss equation over those partials.  The finite-difference curvature
+(..., n) and the Jacobian to partials (..., n, d).  Every kind writes its
+chart as expression text, one string per ambient axis, and
+`expressions.compile_chart` builds both maps from one parse of it, so a
+point gets the same bits alone and in any batch and a zero keeps the sign
+its formula gives.  The built-in constructors (plane, sphere, torus) write
+their radii into that text as exact float literals and attach their
+closed-form closest-point projection and Gaussian curvature to the spec as
+`projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
+`parametric` chart) projects by damped Gauss-Newton, seeded from a coarse
+parameter grid that each manifold evaluates once, periodic axes wrapping.
+Every parametric chart of dimension d >= 2 gets an exact curvature_fn, the
+mean sectional curvature from the Gauss equation over the compiled first
+and second partials.  The finite-difference curvature
 pipeline, built from central differences of the pullback metric, remains as
 the reference oracle (`curvature_tensor`, `sectional_curvature`).
 """
@@ -36,7 +36,7 @@ from .errors import (
     RankDeficientError,
     StencilOutOfDomainError,
 )
-from .expressions import assemble, compile_chart
+from .expressions import compile_chart
 
 Array = np.ndarray
 
@@ -57,9 +57,10 @@ class ManifoldSpec:
     """Immutable description of a d-manifold embedded in R^n via one chart.
 
     chart_fn and jacobian_fn map parameter arrays (..., d) to points (..., n)
-    and to the chart partials dX/du_i (..., n, d); a point gets the same bits
-    alone and in any batch (`expressions.assemble` lays out every kind's).  projection_fn (ambient q -> Projection) is the
-    closed form of a built-in; None means the generic Gauss-Newton path.
+    and to the chart partials dX/du_i (..., n, d); every kind's come from
+    `expressions.compile_chart`, so a point gets the same bits alone and in
+    any batch.  projection_fn (ambient q -> Projection) is the closed form
+    of a built-in; None means the generic Gauss-Newton path.
     curvature_fn maps parameter arrays (..., d) to the mean sectional
     curvature Scal / (d (d - 1)) (...), which for a surface is its Gaussian
     curvature: a closed form for the built-ins, the Gauss equation for
@@ -110,9 +111,11 @@ class ManifoldSpec:
 
     @cached_property
     def seed_grid(self) -> tuple[Array, Array]:
-        """Coarse parameter grid (4 to 32 points per axis, at most about
-        4096 in all) and its chart images, the Gauss-Newton seeds; built on
-        first use and kept for the life of the spec."""
+        """Coarse parameter grid and its chart images, the Gauss-Newton
+        seeds; built on first use and kept for the life of the spec.  Each
+        axis gets round(4096^(1/d)) points clamped to 4..32, so the grid has
+        32 points for d = 1, 1024 for d = 2, 3125 for d = 5, 4096 for d = 3,
+        4 and 6, and 4^d from d = 6 on (16,384 at d = 7)."""
         per_axis = max(4, min(32, int(round(4096 ** (1.0 / self.intrinsic_dim)))))
         pts = _grid([np.linspace(lo, hi, per_axis) for lo, hi in self.param_bounds])
         return pts, np.asarray(self.chart_fn(pts), dtype=float)
@@ -126,13 +129,14 @@ class ManifoldSpec:
             u = np.clip(q[:2], bounds[:, 0], bounds[:, 1])
             return Projection(point=np.array([u[0], u[1], 0.0]), u=u)
 
+        chart, (jacobian, _) = compile_chart(["u1", "u2", "0"], 2)
         return cls(
             kind="plane",
             ambient_dim=3,
             intrinsic_dim=2,
-            chart_fn=assemble((3,))(lambda u1, u2: (u1, u2, 0.0)),
+            chart_fn=chart,
             param_bounds=bounds,
-            jacobian_fn=assemble((3, 2))(lambda u1, u2: (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)),
+            jacobian_fn=jacobian,
             projection_fn=project,
             curvature_fn=lambda u: np.zeros(np.shape(u)[:-1])[()],
         )
@@ -143,25 +147,9 @@ class ManifoldSpec:
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError("sphere radius must be positive and finite")
         r = float(radius)
-
-        @assemble((3,))
-        def chart(th, ph):
-            return (
-                r * np.sin(th) * np.cos(ph),
-                r * np.sin(th) * np.sin(ph),
-                r * np.cos(th),
-            )
-
-        @assemble((3, 2))
-        def jacobian(th, ph):
-            st, ct = np.sin(th), np.cos(th)
-            sp, cp = np.sin(ph), np.cos(ph)
-            # one row per ambient axis: dX/dth, dX/dph
-            return (
-                r * ct * cp, -r * st * sp,
-                r * ct * sp, r * st * cp,
-                -r * st, 0.0,
-            )
+        chart, (jacobian, _) = compile_chart(
+            [f"{r!r}*sin(u1)*cos(u2)", f"{r!r}*sin(u1)*sin(u2)", f"{r!r}*cos(u1)"], 2
+        )
 
         def project(q):
             nq = float(np.linalg.norm(q))
@@ -199,23 +187,10 @@ class ManifoldSpec:
         if not (math.isfinite(major_radius) and 0 < minor_radius < major_radius):
             raise ValueError("torus needs 0 < minor_radius < major_radius < inf")
         big, small = float(major_radius), float(minor_radius)
-
-        @assemble((3,))
-        def chart(a, b):
-            ring = big + small * np.cos(b)
-            return ring * np.cos(a), ring * np.sin(a), small * np.sin(b)
-
-        @assemble((3, 2))
-        def jacobian(a, b):
-            sa, ca = np.sin(a), np.cos(a)
-            sb, cb = np.sin(b), np.cos(b)
-            ring = big + small * cb
-            # one row per ambient axis: dX/da, dX/db
-            return (
-                -ring * sa, -small * sb * ca,
-                ring * ca, -small * sb * sa,
-                0.0, small * cb,
-            )
+        ring = f"({big!r} + {small!r}*cos(u2))"
+        chart, (jacobian, _) = compile_chart(
+            [f"{ring}*cos(u1)", f"{ring}*sin(u1)", f"{small!r}*sin(u2)"], 2
+        )
 
         def project(q):
             rho = math.hypot(q[0], q[1])

@@ -55,15 +55,15 @@ def test_derivative_matches_finite_difference(text):
 
 
 def test_jacobian_keeps_the_folded_derivative_arithmetic():
-    # quotient rule over an unfolded u2*u2, cos' = 0.0 - sin, power rule
-    # e*u^(e-1): charts keep the same Jacobian bits as the symbolic rules
-    # (at u1 = 0 the sign of each zero shows which rule ran)
+    # quotient rule over an unfolded u2*u2, cos' = -sin with a unary minus,
+    # power rule e*u^(e-1): charts keep the same Jacobian bits as the
+    # symbolic rules (at u1 = 0 the sign of each zero shows which rule ran)
     _, (jacobian, _) = compile_chart(["u1/u2", "cos(u1)", "u1^3"], 2)
     for u in (np.array([0.37, -1.9]), np.array([0.0, 3.0])):
         u1, u2 = u[..., 0], u[..., 1]
         expected = [
-            [u2 / (u2 * u2), (0.0 - u1) / (u2 * u2)],
-            [0.0 - np.sin(u1), 0.0],
+            [u2 / (u2 * u2), (-u1) / (u2 * u2)],
+            [-np.sin(u1), 0.0],
             [3.0 * u1**2.0, 0.0],
         ]
         assert jacobian(u).tobytes() == np.array(expected).tobytes()
@@ -86,13 +86,31 @@ def test_compile_chart_shapes_and_jacobian():
 
 
 def test_parametric_spec_parses_each_component_once(count_calls):
-    # the chart, its Jacobian and its second partials share one parse
+    # the chart, its Jacobian and its second partials share one parse; the
+    # last component is one no other test compiles, so no earlier build has
+    # left this chart compiled
     parses = count_calls(expressions.parse_expression)
     ManifoldSpec.parametric(
         bounds=[(-1.0, 1.0)] * 3,
-        expressions=["u1", "u2", "u3", "0.4*sin(u1)*cos(2*u2) + 0.3*u3*u3*u1"],
+        expressions=["u1", "u2", "u3", "0.4*sin(u1)*cos(2*u2) + 0.3*u3*u3*u1 + 0.0625"],
     )
     assert len(parses) == 4
+
+
+def test_second_build_of_a_chart_reuses_its_compiled_maps(count_calls):
+    # a built-in rebuilt by every command compiles its chart text once
+    first = ManifoldSpec.torus(2.75, 0.625)
+    parses = count_calls(expressions.parse_expression)
+    second = ManifoldSpec.torus(2.75, 0.625)
+    assert len(parses) == 0
+    assert second.chart_fn is first.chart_fn
+    assert second.jacobian_fn is first.jacobian_fn
+    # a list and a tuple of the same texts share one entry
+    texts = ["u1", "u2", "u1*u2"]
+    compiled = compile_chart(texts, 2)
+    parsed = len(parses)
+    assert compile_chart(tuple(texts), 2) is compiled
+    assert len(parses) == parsed
 
 
 def test_constant_component_broadcasts():

@@ -702,8 +702,14 @@ def hand_torus(u, big, small):
         (ManifoldSpec.sphere(2.5), lambda u: hand_sphere(u, 2.5)),
         (TORUS, lambda u: hand_torus(u, 2.0, 0.5)),
         (ManifoldSpec.torus(3.0, 1.25), lambda u: hand_torus(u, 3.0, 1.25)),
+        # radii whose repr is in exponent form: the chart text reads 1e-05
+        (ManifoldSpec.sphere(1e-05), lambda u: hand_sphere(u, 1e-05)),
+        (ManifoldSpec.torus(250.0, 0.001), lambda u: hand_torus(u, 250.0, 0.001)),
     ],
-    ids=["plane", "sphere", "sphere2.5", "torus", "torus3-1.25"],
+    ids=[
+        "plane", "sphere", "sphere2.5", "torus", "torus3-1.25",
+        "sphere1e-05", "torus250-0.001",
+    ],
 )
 def test_builtin_maps_keep_the_hand_laid_out_bits(spec, hand):
     # every pair of exact 0, -0.0, pi/2, pi, 2 pi and -pi, then 100,000
