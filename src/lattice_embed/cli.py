@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation/convergence failure, 2 configuration
 error.  All output files start with the config digest and a column header
-and are byte-identical across runs with the same config and seeds.
+and are byte-identical across runs with the same config and seeds.  Rows
+hold Python scalars: numbers are written as their shortest round-trip
+``repr`` (``nan`` included) and booleans as ``true``/``false``.
 """
 from __future__ import annotations
 
@@ -23,16 +25,10 @@ from .solver import embed_lattice
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    # a numpy scalar would read "np.float64(...)": rows hold Python scalars
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if value != value:  # nan
-            return "nan"
-        return repr(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return repr(value)
 
 
 def _json_number(value) -> float | None:
@@ -43,7 +39,7 @@ def _json_number(value) -> float | None:
 def _write_rows(path: Path, digest: str, columns: list[str], rows) -> None:
     lines = [f"# digest: {digest}", ",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -74,12 +70,12 @@ def run_embed(config: RunConfig) -> int:
         + ["residual_norm", "energy", "iterations", "converged"]
     )
     rows = [
-        list(entry.point)
-        + list(entry.image)
+        entry.point.tolist()
+        + entry.image.tolist()
         + [
             float(entry.residual_norm),
             float(entry.energy),
-            entry.iterations,
+            int(entry.iterations),
             bool(entry.converged),
         ]
         for entry in emap.entries
@@ -139,7 +135,7 @@ def run_curvature(config: RunConfig, *, grid: int) -> int:
     # same K: the whole grid takes one curvature call
     k = mean_sectional_curvature(spec, points)
     integral = sphere_measure(spec.intrinsic_dim) ** 2 * k
-    rows = [list(u) + [float(ku), float(cu)] for u, ku, cu in zip(points, k, integral)]
+    rows = np.column_stack([points, k, integral]).tolist()
     columns = [f"u{k + 1}" for k in range(spec.intrinsic_dim)] + ["K", "C"]
     out = _out_dir(config)
     _write_rows(out / "curvature.csv", config.digest(), columns, rows)
@@ -180,7 +176,7 @@ def run_energy(config: RunConfig, points_file: str) -> int:
     for q in points:
         value = total_energy(params, spec, q)
         grad = total_gradient(params, spec, q)
-        rows.append(list(q) + [float(value)] + list(grad))
+        rows.append(q.tolist() + [float(value)] + grad.tolist())
     n = spec.ambient_dim
     columns = (
         [f"q{k + 1}" for k in range(n)]
@@ -220,7 +216,7 @@ def run_command(command: str, config: RunConfig | None, **kwargs) -> int:
     raise ValueError(f"unknown command {command!r}")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-embed",
         description="Embed lattice points onto a manifold by energy descent.",
@@ -243,8 +239,16 @@ def main(argv=None) -> int:
     p_energy.add_argument("--points", dest="points_file", required=True)
 
     sub.add_parser("validate", help="run the acceptance suite")
+    return parser
 
-    options = vars(parser.parse_args(argv))
+
+# built once: it holds no command functions, so run_command still looks
+# run_embed and run_curvature up at call time
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    options = vars(_PARSER.parse_args(argv))
     command = options.pop("command")
     path = options.pop("config", None)
     try:

@@ -43,8 +43,15 @@ def _parse_bounds(text: str) -> tuple:
     return tuple(out)
 
 
+def _format_bound(value: float) -> str:
+    # :g keeps 6 significant digits; repr where those do not read back, so
+    # that bounds differing past the 6th digit get different digests
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _format_bounds(bounds) -> str:
-    return ", ".join(f"{lo:g}:{hi:g}" for lo, hi in bounds)
+    return ", ".join(f"{_format_bound(lo)}:{_format_bound(hi)}" for lo, hi in bounds)
 
 
 # key -> (parser, default, serializer); defaults of None mean "resolved later"

@@ -1,11 +1,17 @@
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from lattice_embed import cli, expressions, geometry
+from lattice_embed.config import parse_config
+from lattice_embed.energy import total_energy, total_gradient
 from lattice_embed.expressions import compile_chart
+from lattice_embed.quadrature import sphere_measure
+from lattice_embed.solver import embed_lattice
 
 PLANE_SLAB = """
 manifold.kind = plane
@@ -375,3 +381,119 @@ def test_report_is_strict_json_and_names_point_errors(tmp_path):
         # points that descended keep their values and carry no error field
         assert "error" not in record
         assert math.isfinite(record["residual_norm"]) and math.isfinite(record["energy"])
+
+
+def _read_field(text):
+    """The value of one output field, which must be true, false, a plain
+    integer or the float literal that repr writes for its value."""
+    # repr(np.float64(1.0)) is "np.float64(1.0)" under numpy 2
+    assert "np." not in text and "(" not in text, text
+    if text in ("true", "false"):
+        return text == "true"
+    if re.fullmatch(r"-?[0-9]+", text):
+        return int(text)
+    value = float(text)
+    assert repr(value) == text, text
+    return value
+
+
+def _assert_same_value(field, expected):
+    if isinstance(field, float):
+        if math.isnan(field):
+            assert math.isnan(expected)
+        else:
+            # bit for bit, so that -0.0 and 0.0 differ
+            assert struct.pack("<d", field) == struct.pack("<d", expected), (
+                field,
+                expected,
+            )
+    else:
+        assert isinstance(field, bool) == isinstance(expected, (bool, np.bool_))
+        assert field == expected
+
+
+def _assert_table(path, expected):
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        for text, value in zip(row, want, strict=True):
+            _assert_same_value(_read_field(text), value)
+
+
+def test_embed_fields_are_the_solver_values(tmp_path):
+    # the pole lattice writes nan, false and iteration counts besides floats
+    out = tmp_path / "out"
+    text = POLE_LATTICE + f"output.directory = {out}\n"
+    assert cli.main(["embed", write_config(tmp_path, text)]) == 1
+    config = parse_config(text)
+    emap, _ = embed_lattice(
+        config.energy_params(), config.manifold(), config.lattice(), config.solver()
+    )
+    expected = [
+        [*e.point, *e.image, e.residual_norm, e.energy, e.iterations, e.converged]
+        for e in emap.entries
+    ]
+    assert any(math.isnan(e.residual_norm) for e in emap.entries)
+    _assert_table(out / "points.csv", expected)
+
+
+def test_curvature_fields_are_the_library_values(tmp_path):
+    out = tmp_path / "out"
+    text = GRAPH_CHART + f"output.directory = {out}\n"
+    assert cli.main(["curvature", write_config(tmp_path, text), "--grid", "4"]) == 0
+    spec = parse_config(text).manifold()
+    axes = [lo + (np.arange(4) + 0.5) * (hi - lo) / 4 for lo, hi in spec.param_bounds]
+    points = geometry._grid(axes)
+    k = geometry.mean_sectional_curvature(spec, points)
+    expected = np.column_stack([points, k, sphere_measure(2) ** 2 * k])
+    assert len(expected) == 16
+    _assert_table(out / "curvature.csv", expected)
+
+
+def test_energy_fields_are_the_library_values(tmp_path):
+    out = tmp_path / "out"
+    text = GRAPH_CHART + f"output.directory = {out}\n"
+    probes = tmp_path / "probes.csv"
+    probes.write_text("0.1 0.2 0.05\n-0.3, 0.7, 0.0\n")
+    assert cli.main(["energy", write_config(tmp_path, text), "--points", str(probes)]) == 0
+    config = parse_config(text)
+    params, spec = config.energy_params(), config.manifold()
+    expected = [
+        [*q, total_energy(params, spec, q), *total_gradient(params, spec, q)]
+        for q in np.array([[0.1, 0.2, 0.05], [-0.3, 0.7, 0.0]])
+    ]
+    _assert_table(out / "energy.csv", expected)
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process: a flag, a default or a rejected
+    # invocation must not carry over to the next call
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"manifold.kind = sphere\noutput.directory = {out}\n")
+    table = out / "curvature.csv"
+    assert cli.main(["curvature", cfg, "--grid", "4"]) == 0
+    first = table.read_bytes()
+    assert len(first.splitlines()) == 2 + 16
+    with pytest.raises(SystemExit) as rejected:
+        cli.main(["curvature", cfg, "--grid", "four"])
+    assert rejected.value.code == 2
+    assert table.read_bytes() == first
+    assert cli.main(["curvature", cfg]) == 0
+    assert len(table.read_bytes().splitlines()) == 2 + 256
+    assert cli.main(["curvature", cfg, "--grid", "4"]) == 0
+    assert table.read_bytes() == first
+    capsys.readouterr()
+
+
+def test_main_looks_commands_up_at_call_time(tmp_path, monkeypatch):
+    # a tracer rebinds cli.run_curvature; main must call the rebound one
+    calls = []
+
+    def fake(config, *, grid):
+        calls.append((config.get("manifold", "kind"), grid))
+        return 7
+
+    monkeypatch.setattr(cli, "run_curvature", fake)
+    cfg = write_config(tmp_path, "manifold.kind = sphere\n")
+    assert cli.main(["curvature", cfg, "--grid", "3"]) == 7
+    assert calls == [("sphere", 3)]

@@ -141,7 +141,7 @@ def test_roundtrip_serialization():
     manifold.kind = torus
     manifold.R = 2.0
     manifold.r = 0.5
-    lattice.bounds = -1:1, -1:1, -0.25:0.25
+    lattice.bounds = -1:1, -1:1.0000001, -0.25:0.3000004
     lattice.spacing = 0.5
     energy.gamma = 0.125
     solver.max_iters = 42
@@ -150,6 +150,30 @@ def test_roundtrip_serialization():
     again = parse_config(config.to_text())
     assert config == again
     assert config.digest() == again.digest()
+    assert "lattice.bounds = -1:1, -1:1.0000001, -0.25:0.3000004\n" in config.to_text()
+
+
+_CHART = "manifold.kind = parametric\nmanifold.chart = u1; u2; 0\n"
+
+
+@pytest.mark.parametrize(
+    "head, long, short",
+    [
+        ("manifold.kind = plane\n", "lattice.bounds = 0:0.3000004, 0:1, 0:0",
+         "lattice.bounds = 0:0.3, 0:1, 0:0"),
+        ("manifold.kind = plane\n", "lattice.bounds = 2.3000001:2.7, 0:1, 0:0",
+         "lattice.bounds = 2.3:2.7, 0:1, 0:0"),
+        (_CHART, "manifold.bounds = -1:1.0000001, -1:1", "manifold.bounds = -1:1, -1:1"),
+    ],
+)
+def test_digest_keeps_every_bounds_digit(head, long, short):
+    # bounds that differ past the 6th significant digit embed different
+    # points, so they must not share a digest
+    a = parse_config(f"{head}{long}\n")
+    b = parse_config(f"{head}{short}\n")
+    assert a != b
+    assert a.digest() != b.digest()
+    assert parse_config(a.to_text()) == a
 
 
 def test_digest_changes_with_values():
