@@ -84,18 +84,13 @@ _SCHEMA: dict[str, dict] = {
         "directory": (str, "out", str),
     },
 }
-# constructor argument of each radius key, per built-in kind; a key a
-# configuration leaves unset takes the constructor's default
-_RADII = {
+# the manifold keys besides kind that each kind reads, and the constructor
+# argument each one feeds; setting any other key is a configuration error
+_KINDS = {
     "plane": {},
     "sphere": {"r": "radius"},
     "torus": {"R": "major_radius", "r": "minor_radius"},
-}
-# the manifold keys besides kind that each kind reads; setting any other one
-# is a configuration error
-_KIND_KEYS = {
-    **{kind: tuple(radii) for kind, radii in _RADII.items()},
-    "parametric": ("chart", "bounds"),
+    "parametric": {"chart": "expressions", "bounds": "bounds"},
 }
 # the value type and constructor argument each energy, field, lattice and
 # solver key feeds; each range message starts with its argument's name
@@ -163,25 +158,23 @@ class RunConfig:
 
 def _build_manifold(m: dict) -> ManifoldSpec:
     kind = m["kind"]
-    if kind not in _KIND_KEYS:
+    if kind not in _KINDS:
         raise ValidationError(f"manifold.kind: unknown kind {kind!r}")
-    for key in sorted(set(m) - {"kind", *_KIND_KEYS[kind]}):
+    for key in sorted(set(m) - {"kind", *_KINDS[kind]}):
         if m[key] is not None:
             raise ValidationError(f"manifold.{key}: not read by manifold kind {kind!r}")
     # the constructors check the radii jointly (0 < r < R), so only these
-    # checks can name the key
+    # checks can name the key; an unset radius takes the constructor's
+    # default, and a chart has none
     for key in ("r", "R"):
         if m[key] is not None and not m[key] > 0.0:
             raise ValidationError(f"manifold.{key}: must be positive")
-    if kind == "parametric":
-        if not m["chart"] or m["bounds"] is None:
-            raise MissingRequiredError(
-                "parametric manifolds need manifold.chart and manifold.bounds"
-            )
-        expressions = [s.strip() for s in m["chart"].split(";") if s.strip()]
-        args = {"expressions": expressions, "bounds": m["bounds"]}
-    else:
-        args = {arg: m[key] for key, arg in _RADII[kind].items() if m[key] is not None}
+    for key in ("chart", "bounds"):
+        if key in _KINDS[kind] and not m[key]:
+            raise MissingRequiredError(f"manifold.{key} is required by kind {kind!r}")
+    args = {arg: m[key] for key, arg in _KINDS[kind].items() if m[key] is not None}
+    if "expressions" in args:
+        args["expressions"] = [s.strip() for s in m["chart"].split(";") if s.strip()]
     try:
         return make_manifold(kind, **args)
     except (LatticeEmbedError, ValueError) as exc:

@@ -5,12 +5,14 @@ total = alignment + gamma * curvature integral (closest-point pullback)
 
 The curvature term is the closed form of quadrature.curvature_double_integral
 at the closest point, so it depends on no seed or resolution.  The
-stationarity (Euler-Lagrange) residual alpha(q-p)_T + beta(q-p)_N + gamma K(q)
-+ lam Delta_A(q) is the energy gradient itself, total_gradient, so
-"stationary point" and "zero residual" are the same testable statement.
+stationarity (Euler-Lagrange) residual alpha(q-p)_T + beta(q-p)_N
++ gamma grad C(q) + lam Delta_A(q), with C pulled back through the closest
+point, is the energy gradient itself, total_gradient, so "stationary point"
+and "zero residual" are the same testable statement.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +48,11 @@ class EnergyParams:
         # (config names the key from it); negated comparisons, so that NaN
         # fails them
         for name in ("alpha", "beta", "tube_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("gamma", "lam"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     def rule_for(self, spec: ManifoldSpec) -> Array:
         """The (64, d) nodes of a tangent-sphere rule of the manifold's

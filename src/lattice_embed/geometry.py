@@ -1,20 +1,21 @@
 """Manifold charts, tangent/normal frames, projection, and curvature kernels.
 
-A manifold is a parametric chart over a rectangular parameter box, with an
-analytic Jacobian; both map parameter batches (..., d), the chart to points
-(..., n) and the Jacobian to partials (..., n, d).  Every kind writes its
-chart as expression text, one string per ambient axis, and
-`expressions.compile_chart` builds both maps from one parse of it, so a
-point gets the same bits alone and in any batch and a zero keeps the sign
-its formula gives.  The built-in constructors (plane, sphere, torus) write
-their radii into that text as exact float literals and attach their
-closed-form closest-point projection and Gaussian curvature to the spec as
+A manifold is its maps, its parameter box and its closed forms.  Every kind
+writes its chart as expression text, one string per ambient axis, over a
+rectangular parameter box, and one builder compiles that text once through
+`expressions.compile_chart` into the chart and its analytic Jacobian; both
+map parameter batches (..., d), the chart to points (..., n) and the
+Jacobian to partials (..., n, d), so a point gets the same bits alone and in
+any batch and a zero keeps the sign its formula gives.  The dimensions n and
+d are read from the Jacobian, never given.  The built-in constructors (plane,
+sphere, torus) write their radii into the text as exact float literals and
+add their closed-form closest-point projection and Gaussian curvature as
 `projection_fn` and `curvature_fn`.  A spec without a projection_fn (every
 `parametric` chart) projects by damped Gauss-Newton, seeded from a coarse
 parameter grid that each manifold evaluates once, periodic axes wrapping.
-Every parametric chart of dimension d >= 2 gets an exact curvature_fn, the
-mean sectional curvature from the Gauss equation over the compiled first
-and second partials.  The finite-difference curvature
+A chart of dimension d >= 2 without a closed-form curvature gets an exact
+one, the mean sectional curvature from the Gauss equation over the compiled
+first and second partials.  The finite-difference curvature
 pipeline, built from central differences of the pullback metric, remains as
 the reference oracle (`curvature_tensor`, `sectional_curvature`).
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,7 +55,8 @@ PARALLEL_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ManifoldSpec:
-    """Immutable description of a d-manifold embedded in R^n via one chart.
+    """A d-manifold embedded in R^n via one chart: its maps, its parameter
+    box and its closed forms.
 
     chart_fn and jacobian_fn map parameter arrays (..., d) to points (..., n)
     and to the chart partials dX/du_i (..., n, d); every kind's come from
@@ -64,41 +66,50 @@ class ManifoldSpec:
     curvature_fn maps parameter arrays (..., d) to the mean sectional
     curvature Scal / (d (d - 1)) (...), which for a surface is its Gaussian
     curvature: a closed form for the built-ins, the Gauss equation for
-    parametric charts with d >= 2, None for curves.
+    other charts with d >= 2, None for curves.  ambient_dim n and
+    intrinsic_dim d are read from the (m, n, d) partials that jacobian_fn
+    gives on a coarse sweep of the box, which rejects a rank-deficient chart
+    and partials whose width disagrees with the box.
     """
 
     kind: str
-    ambient_dim: int
-    intrinsic_dim: int
     chart_fn: Callable[[Array], Array]
     jacobian_fn: Callable[[Array], Array]
     param_bounds: Array  # (d, 2) rows of (lower, upper)
     periodic: tuple[bool, ...] = ()
     projection_fn: Callable[[Array], "Projection"] | None = None
     curvature_fn: Callable[[Array], Array] | None = None
+    ambient_dim: int = field(init=False)
+    intrinsic_dim: int = field(init=False)
 
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.param_bounds, dtype=float))
         object.__setattr__(self, "param_bounds", bounds)
-        d, n = self.intrinsic_dim, self.ambient_dim
-        if not 1 <= d <= n:
-            raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-        if bounds.shape != (d, 2):
-            raise ValueError(f"param_bounds must be ({d}, 2), got {bounds.shape}")
+        if bounds.ndim != 2 or bounds.shape[1] != 2:
+            raise ValueError(f"param_bounds must be (d, 2), got {bounds.shape}")
         if not np.all(np.isfinite(bounds)):
             raise ValueError("param_bounds must be finite")
         if np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ValueError("each parameter axis needs lower < upper")
-        if not self.periodic:
-            object.__setattr__(self, "periodic", (False,) * d)
-        elif len(self.periodic) != d:
-            raise ValueError("periodic flags must match intrinsic_dim")
-        self._check_rank_on_grid()
-
-    def _check_rank_on_grid(self):
-        # Coarse interior sweep; catches degenerate user charts at build time.
-        pts = _grid([np.linspace(lo, hi, 5)[1:-1] for lo, hi in self.param_bounds])
-        sv = np.linalg.svd(self.jacobian_fn(pts), compute_uv=False)
+        d = bounds.shape[0]
+        periodic = tuple(self.periodic) or (False,) * d
+        if len(periodic) != d:
+            raise ValueError("periodic flags must match the parameter box")
+        object.__setattr__(self, "periodic", periodic)
+        # coarse interior sweep: its Jacobian fixes n and d, and catches
+        # degenerate user charts at build time
+        pts = _grid([np.linspace(lo, hi, 5)[1:-1] for lo, hi in bounds])
+        jac = np.asarray(self.jacobian_fn(pts), dtype=float)
+        if jac.ndim != 3 or jac.shape[2] != d:
+            raise ValueError(
+                f"jacobian_fn gives {jac.shape[1:]} partials on a box of {d} axes"
+            )
+        n = jac.shape[1]
+        if not 1 <= d <= n:
+            raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "intrinsic_dim", d)
+        sv = np.linalg.svd(jac, compute_uv=False)
         bad = np.flatnonzero(sv[:, -1] <= 1e-8 * np.maximum(sv[:, 0], 1.0))
         if bad.size:
             raise RankDeficientError(
@@ -121,6 +132,20 @@ class ManifoldSpec:
         return pts, np.asarray(self.chart_fn(pts), dtype=float)
 
     @classmethod
+    def _from_chart(
+        cls, kind, expressions, bounds, periodic=(), projection=None, curvature=None
+    ) -> "ManifoldSpec":
+        """The spec of a chart written as expression text over a box, plus the
+        closed forms it has.  compile_chart runs once, and a chart of dimension
+        d >= 2 without a closed-form curvature gets the Gauss equation."""
+        bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+        d = bounds.shape[0]
+        chart, (jacobian, hessian) = compile_chart(list(expressions), d)
+        if curvature is None and d >= 2:
+            curvature = _gauss_equation(jacobian, hessian, d)
+        return cls(kind, chart, jacobian, bounds, periodic, projection, curvature)
+
+    @classmethod
     def plane(cls, bounds=((-10.0, 10.0), (-10.0, 10.0))) -> "ManifoldSpec":
         """The z=0 plane in R^3, chart (u1, u2) -> (u1, u2, 0)."""
         bounds = np.asarray(bounds, dtype=float)
@@ -129,17 +154,11 @@ class ManifoldSpec:
             u = np.clip(q[:2], bounds[:, 0], bounds[:, 1])
             return Projection(point=np.array([u[0], u[1], 0.0]), u=u)
 
-        chart, (jacobian, _) = compile_chart(["u1", "u2", "0"], 2)
-        return cls(
-            kind="plane",
-            ambient_dim=3,
-            intrinsic_dim=2,
-            chart_fn=chart,
-            param_bounds=bounds,
-            jacobian_fn=jacobian,
-            projection_fn=project,
-            curvature_fn=lambda u: np.zeros(np.shape(u)[:-1])[()],
-        )
+        def curvature(u):
+            return np.zeros(np.shape(u)[:-1])[()]
+
+        expressions = ["u1", "u2", "0"]
+        return cls._from_chart("plane", expressions, bounds, (), project, curvature)
 
     @classmethod
     def sphere(cls, radius: float = 1.0) -> "ManifoldSpec":
@@ -147,9 +166,10 @@ class ManifoldSpec:
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError("sphere radius must be positive and finite")
         r = float(radius)
-        chart, (jacobian, _) = compile_chart(
-            [f"{r!r}*sin(u1)*cos(u2)", f"{r!r}*sin(u1)*sin(u2)", f"{r!r}*cos(u1)"], 2
-        )
+        expressions = [
+            f"{r!r}*sin(u1)*cos(u2)", f"{r!r}*sin(u1)*sin(u2)", f"{r!r}*cos(u1)"
+        ]
+        chart, _ = compile_chart(expressions, 2)
 
         def project(q):
             nq = float(np.linalg.norm(q))
@@ -167,16 +187,12 @@ class ManifoldSpec:
             u = np.array([theta, phi])
             return Projection(point=(r / nq) * np.asarray(q, float), u=u)
 
-        return cls(
-            kind="sphere",
-            ambient_dim=3,
-            intrinsic_dim=2,
-            chart_fn=chart,
-            param_bounds=np.array([[0.0, math.pi], [0.0, 2.0 * math.pi]]),
-            periodic=(False, True),
-            jacobian_fn=jacobian,
-            projection_fn=project,
-            curvature_fn=lambda u: np.full(np.shape(u)[:-1], 1.0 / (r * r))[()],
+        def curvature(u):
+            return np.full(np.shape(u)[:-1], 1.0 / (r * r))[()]
+
+        box = [[0.0, math.pi], [0.0, 2.0 * math.pi]]
+        return cls._from_chart(
+            "sphere", expressions, box, (False, True), project, curvature
         )
 
     @classmethod
@@ -188,9 +204,8 @@ class ManifoldSpec:
             raise ValueError("torus needs 0 < minor_radius < major_radius < inf")
         big, small = float(major_radius), float(minor_radius)
         ring = f"({big!r} + {small!r}*cos(u2))"
-        chart, (jacobian, _) = compile_chart(
-            [f"{ring}*cos(u1)", f"{ring}*sin(u1)", f"{small!r}*sin(u2)"], 2
-        )
+        expressions = [f"{ring}*cos(u1)", f"{ring}*sin(u1)", f"{small!r}*sin(u2)"]
+        chart, _ = compile_chart(expressions, 2)
 
         def project(q):
             rho = math.hypot(q[0], q[1])
@@ -228,18 +243,9 @@ class ManifoldSpec:
             cb = np.cos(np.asarray(u, dtype=float)[..., 1])
             return cb / (small * (big + small * cb))
 
-        return cls(
-            kind="torus",
-            ambient_dim=3,
-            intrinsic_dim=2,
-            chart_fn=chart,
-            param_bounds=np.array(
-                [[0.0, 2.0 * math.pi], [0.0, 2.0 * math.pi]]
-            ),
-            periodic=(True, True),
-            jacobian_fn=jacobian,
-            projection_fn=project,
-            curvature_fn=curvature,
+        box = [[0.0, 2.0 * math.pi]] * 2
+        return cls._from_chart(
+            "torus", expressions, box, (True, True), project, curvature
         )
 
     @classmethod
@@ -253,19 +259,8 @@ class ManifoldSpec:
         parameters u1..ud, parsed once; its Jacobian and second partials are
         differentiated symbolically from that parse, and a chart with d >= 2
         gets its mean sectional curvature from the Gauss equation."""
-        bounds = np.asarray(bounds, dtype=float)
-        d = bounds.shape[0]
-        chart, (jacobian, hessian) = compile_chart(list(expressions), d)
-        return cls(
-            kind="parametric",
-            ambient_dim=len(expressions),
-            intrinsic_dim=d,
-            chart_fn=chart,
-            param_bounds=bounds,
-            periodic=tuple(periodic) if periodic is not None else (),
-            jacobian_fn=jacobian,
-            curvature_fn=_gauss_equation(jacobian, hessian, d) if d >= 2 else None,
-        )
+        periodic = () if periodic is None else periodic
+        return cls._from_chart("parametric", expressions, bounds, periodic)
 
 
 def _grid(axes: list[Array]) -> Array:

@@ -37,8 +37,8 @@ class LatticeSpec:
         bounds.flags.writeable = False
         object.__setattr__(self, "bounds", bounds)
         # negated comparison, so that NaN fails it
-        if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
         if not np.all(np.isfinite(bounds)):
             raise ValueError("bounds must be finite")
         if np.any(bounds[:, 0] > bounds[:, 1]):

@@ -8,6 +8,8 @@ index or on the rest of the batch.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -36,11 +38,13 @@ class SolverConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        # negated comparisons, so that NaN fails them
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        # each message starts with the field's name (config names the key
+        # from it); negated comparisons, so that NaN fails them
+        count = isinstance(self.max_iters, numbers.Integral)
+        if isinstance(self.max_iters, bool) or not (count and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer of at least 1")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass(eq=False)

@@ -68,20 +68,25 @@ def _draw_tangent_pair(rng, g):
             return v, w
 
 
-def _tube_point(rng, spec, params, *, margin=(0.1, 1.8)):
-    """Random ambient point inside the activation tube of the manifold."""
-    if spec.kind == "plane":
-        u = rng.uniform(-3.0, 3.0, size=2)
-    elif spec.kind == "sphere":
-        u = np.array(
-            [rng.uniform(0.5, math.pi - 0.5), rng.uniform(0.3, 2 * math.pi - 0.3)]
-        )
-    else:
-        u = rng.uniform(0.3, 2 * math.pi - 0.3, size=2)
-    frame = tangent_frame(spec, u)
+def _tube_point(rng, spec, box, params, *, margin):
+    """Random ambient point inside the activation tube of the manifold, over
+    chart parameters drawn uniformly from box, rows of (lower, upper)."""
+    lo, hi = np.asarray(box, dtype=float).T
+    frame = tangent_frame(spec, rng.uniform(lo, hi))
     side = 1.0 if rng.uniform() < 0.5 else -1.0
     eta = side * rng.uniform(*margin) * params.tube_radius
     return frame.point + eta * frame.normal_basis[0]
+
+
+def _builtins():
+    """The plane, unit sphere and (2, 0.5) torus, each with the parameter box
+    that tube points are drawn over: clear of the sphere's poles and of the
+    seams of the periodic axes."""
+    return (
+        (ManifoldSpec.plane(), [(-3.0, 3.0)] * 2),
+        (ManifoldSpec.sphere(1.0), [(0.5, math.pi - 0.5), (0.3, 2 * math.pi - 0.3)]),
+        (ManifoldSpec.torus(2.0, 0.5), [(0.3, 2 * math.pi - 0.3)] * 2),
+    )
 
 
 # --- criterion 1 ------------------------------------------------------------
@@ -226,13 +231,9 @@ def check_gradient_consistency() -> str:
     )
     oracle_step = 5e-4
     worst_excess = -np.inf
-    for spec in (
-        ManifoldSpec.plane(),
-        ManifoldSpec.sphere(1.0),
-        ManifoldSpec.torus(2.0, 0.5),
-    ):
+    for spec, box in _builtins():
         for _ in range(100):
-            q = _tube_point(rng, spec, params, margin=(0.1, 0.95))
+            q = _tube_point(rng, spec, box, params, margin=(0.1, 0.95))
             grad = total_gradient(params, spec, q)
             fd = np.zeros_like(q)
             for k in range(q.shape[0]):
@@ -257,13 +258,10 @@ def check_projection_equivalence() -> str:
     params = EnergyParams(alpha=1.0, beta=1.0, gamma=0.0, lam=0.0, tube_radius=0.1)
     config = SolverConfig()
     worst = 0.0
-    for spec, reach in (
-        (ManifoldSpec.plane(), 0.5),
-        (ManifoldSpec.sphere(1.0), 0.3),
-        (ManifoldSpec.torus(2.0, 0.5), 0.2),
-    ):
+    for (spec, box), reach in zip(_builtins(), (0.5, 0.3, 0.2)):
         for _ in range(50):
-            q0 = _tube_point(rng, spec, params, margin=(0.05, reach / params.tube_radius))
+            margin = (0.05, reach / params.tube_radius)
+            q0 = _tube_point(rng, spec, box, params, margin=margin)
             target = closest_point(spec, q0).point
             q_star, trace = descend_point(params, spec, q0, config)
             gap = float(np.linalg.norm(q_star - target))

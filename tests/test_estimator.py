@@ -97,3 +97,12 @@ def test_curvature_term_on_a_curve_rejected_before_any_solve(count_calls):
     with pytest.raises(ValueError, match="^gamma must be 0 on a curve"):
         LatticeEmbedder(curve, gamma=0.02).fit([[1.0, 0.05, 0.0], [0.0, 1.0, 0.3]])
     assert descents == []
+
+
+def test_fractional_max_iters_rejected_before_any_solve(count_calls):
+    # descent would raise TypeError on its first point, which no per-point
+    # handler catches
+    descents = count_calls(solver.descend_point)
+    with pytest.raises(ValueError, match="^max_iters "):
+        LatticeEmbedder("plane", max_iters=2.5).fit([[0.1, 0.2, 0.05]])
+    assert descents == []

@@ -117,6 +117,49 @@ def test_expression_chart_jacobian_is_analytic():
     assert np.allclose(jac, fd, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "spec, n, d",
+    [
+        (ManifoldSpec.parametric([(0.0, 6.0)], ["cos(u1)", "sin(u1)"]), 2, 1),
+        (PLANE, 3, 2),
+        (SPHERE, 3, 2),
+        (TORUS, 3, 2),
+        (G3, 4, 3),
+    ],
+    ids=["curve", "plane", "sphere", "torus", "G3"],
+)
+def test_dimensions_are_read_from_the_maps(spec, n, d):
+    assert (spec.ambient_dim, spec.intrinsic_dim) == (n, d)
+    assert spec.jacobian_fn(spec.param_bounds.mean(axis=1)).shape == (n, d)
+
+
+def test_jacobian_width_must_match_the_box():
+    # the identity chart of three parameters, over a box of two axes
+    def jacobian(u):
+        return np.broadcast_to(np.eye(3), np.shape(u)[:-1] + (3, 3))
+
+    with pytest.raises(ValueError, match="on a box of 2 axes"):
+        ManifoldSpec(
+            kind="parametric",
+            chart_fn=lambda u: np.asarray(u, dtype=float),
+            jacobian_fn=jacobian,
+            param_bounds=[(-1.0, 1.0), (-1.0, 1.0)],
+        )
+
+
+def test_builtin_is_its_compiled_chart_plus_closed_forms():
+    torus = ManifoldSpec.torus(2.0, 0.5)
+    ring = "(2.0 + 0.5*cos(u2))"
+    chart = ManifoldSpec.parametric(
+        bounds=torus.param_bounds,
+        expressions=[f"{ring}*cos(u1)", f"{ring}*sin(u1)", "0.5*sin(u2)"],
+        periodic=torus.periodic,
+    )
+    assert chart.chart_fn is torus.chart_fn
+    assert chart.jacobian_fn is torus.jacobian_fn
+    assert chart.projection_fn is None and torus.projection_fn is not None
+
+
 # --- tangent frames ---------------------------------------------------------
 
 
@@ -327,8 +370,6 @@ def test_chart_projection_evaluation_budget():
 
     spec = ManifoldSpec(
         kind="parametric",
-        ambient_dim=3,
-        intrinsic_dim=2,
         chart_fn=counted_chart,
         jacobian_fn=jacobian,
         param_bounds=[(-1.0, 1.0), (-1.0, 1.0)],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,37 @@ def test_config_validation():
     for grad_tol in (0.0, -1e-6, float("nan")):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=grad_tol)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: SolverConfig(max_iters=2.5), "max_iters"),
+        (lambda: SolverConfig(max_iters=True), "max_iters"),
+        (lambda: SolverConfig(grad_tol=math.inf), "grad_tol"),
+        (lambda: EnergyParams(alpha=math.inf), "alpha"),
+        (lambda: EnergyParams(gamma=math.inf), "gamma"),
+        (lambda: EnergyParams(lam=math.inf), "lam"),
+        (lambda: EnergyParams(tube_radius=math.inf), "tube_radius"),
+        (lambda: LatticeSpec([[0.0, 1.0]], spacing=math.inf), "spacing"),
+    ],
+    ids=[
+        "max_iters-fraction",
+        "max_iters-bool",
+        "grad_tol-inf",
+        "alpha-inf",
+        "gamma-inf",
+        "lam-inf",
+        "tube_radius-inf",
+        "spacing-inf",
+    ],
+)
+def test_value_types_reject_settings_they_cannot_run(build, name):
+    # a fractional budget fails inside descent, an infinite weight gives NaN
+    # energies, an infinite spacing a lattice of one NaN point; the message
+    # starts with the field's name, which config swaps for its key
+    with pytest.raises(ValueError, match=f"^{name} "):
+        build()
 
 
 def test_descend_plane_projects():
