@@ -31,8 +31,7 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _json_number(value) -> float | None:
-    value = float(value)
+def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
@@ -69,17 +68,9 @@ def run_embed(config: RunConfig) -> int:
         + [f"zeta{k + 1}" for k in range(n)]
         + ["residual_norm", "energy", "iterations", "converged"]
     )
-    rows = [
-        entry.point.tolist()
-        + entry.image.tolist()
-        + [
-            float(entry.residual_norm),
-            float(entry.energy),
-            int(entry.iterations),
-            bool(entry.converged),
-        ]
-        for entry in emap.entries
-    ]
+    values = [*emap.points().T, *emap.images().T]
+    values += [emap.residual_norm, emap.energy, emap.iterations, emap.converged]
+    rows = zip(*(column.tolist() for column in values))
     _write_rows(out / "points.csv", digest, columns, rows)
 
     lines = [
@@ -101,8 +92,8 @@ def run_embed(config: RunConfig) -> int:
         record = {
             "record": "point",
             "index": index,
-            "skipped": bool(entry.skipped),
-            "converged": bool(entry.converged),
+            "skipped": entry.skipped,
+            "converged": entry.converged,
             "iterations": entry.iterations,
             # skipped and errored points have no value: null, never NaN
             "residual_norm": _json_number(entry.residual_norm),

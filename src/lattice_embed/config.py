@@ -43,6 +43,13 @@ def _parse_bounds(text: str) -> tuple:
     return tuple(out)
 
 
+def _parse_chart(text: str) -> str:
+    """The chart's components as compile_chart receives them, each with its
+    whitespace collapsed, joined by '; ': spellings of one chart share it."""
+    parts = (" ".join(part.split()) for part in text.split(";"))
+    return "; ".join(part for part in parts if part)
+
+
 def _format_bound(value: float) -> str:
     # :g keeps 6 significant digits; repr where those do not read back, so
     # that bounds differing past the 6th digit get different digests
@@ -60,7 +67,7 @@ _SCHEMA: dict[str, dict] = {
         "kind": (str, _UNSET, str),
         "r": (float, None, repr),
         "R": (float, None, repr),
-        "chart": (str, None, str),
+        "chart": (_parse_chart, None, str),
         "bounds": (_parse_bounds, None, _format_bounds),
     },
     "lattice": {
@@ -174,7 +181,7 @@ def _build_manifold(m: dict) -> ManifoldSpec:
             raise MissingRequiredError(f"manifold.{key} is required by kind {kind!r}")
     args = {arg: m[key] for key, arg in _KINDS[kind].items() if m[key] is not None}
     if "expressions" in args:
-        args["expressions"] = [s.strip() for s in m["chart"].split(";") if s.strip()]
+        args["expressions"] = m["chart"].split("; ")
     try:
         return make_manifold(kind, **args)
     except (LatticeEmbedError, ValueError) as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from .errors import EmptyLatticeError, OutOfHullError
 from .energy import alignment
 from .geometry import ManifoldSpec, _grid, closest_point, tangent_frame
-from .validation import check_distinct_rows
+from .validation import check_distinct_rows, check_points_array
 
 Array = np.ndarray
 
@@ -76,16 +77,10 @@ def generate_lattice(spec: LatticeSpec) -> Array:
     )
 
 
-def _frozen_copy(values) -> Array:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddingEntry:
-    point: Array  # lattice point q, read-only
-    image: Array  # zeta(q), read-only
+    point: Array  # lattice point q, a read-only view of the map's points
+    image: Array  # zeta(q), a read-only view of the map's images
     residual_norm: float
     energy: float
     iterations: int
@@ -93,41 +88,50 @@ class EmbeddingEntry:
     skipped: bool = False
     error: str | None = None  # the solver's message for a point that raised
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", _frozen_copy(self.point))
-        object.__setattr__(self, "image", _frozen_copy(self.image))
+
+# the per-point diagnostic columns of an EmbeddingMap and their dtypes
+_COLUMNS = dict(
+    residual_norm=float, energy=float, iterations=int, converged=bool, skipped=bool
+)
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMap:
-    """Finite association q -> zeta(q) plus per-point solve diagnostics.
+    """Finite association q -> zeta(q) plus per-point solve diagnostics, held
+    as columns: the (m, n) points and images, one (m,) array per diagnostic
+    and one error message or None per point.
 
-    An immutable value: the entries and the (m, n) point and image arrays
-    built from them once are read-only, so nothing derived from them goes
-    stale.  The map carries no energy state: the energy is a function of
-    its parameters alone, so verify_stationarity re-evaluates it from them."""
+    An immutable value: every array is a read-only copy made here, so
+    nothing derived from them goes stale.  The map carries no energy state:
+    the energy is a function of its parameters alone, so verify_stationarity
+    re-evaluates it from them."""
 
-    entries: tuple[EmbeddingEntry, ...]
-    _points: Array = field(init=False, repr=False)
-    _images: Array = field(init=False, repr=False)
-    # the image rows as Python floats, for the interpolation kernel
-    _image_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    _points: Array
+    _images: Array
+    residual_norm: Array
+    energy: Array
+    iterations: Array
+    converged: Array
+    skipped: Array
+    errors: tuple[str | None, ...]
     # the last lattice whose nodes, in order, the points were checked to be:
     # the interpolation checks each (map, lattice) pair once, not per query
     _matched: LatticeSpec | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        points = _frozen_copy([e.point for e in entries])
-        images = _frozen_copy([e.image for e in entries])
-        check_distinct_rows(points, "map")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_images", images)
-        object.__setattr__(self, "_image_rows", tuple(map(tuple, images.tolist())))
+        for name, dtype in {"_points": float, "_images": float, **_COLUMNS}.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "errors", tuple(self.errors))
+        if self._points.ndim != 2 or self._images.shape != self._points.shape:
+            raise ValueError("points and images must be 2-d with matching shapes")
+        if any(len(getattr(self, name)) != len(self) for name in (*_COLUMNS, "errors")):
+            raise ValueError("every diagnostic column needs one row per point")
+        check_distinct_rows(self._points, "map")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._points)
 
     def points(self) -> Array:
         return self._points.copy()
@@ -135,24 +139,28 @@ class EmbeddingMap:
     def images(self) -> Array:
         return self._images.copy()
 
+    @property
+    def entries(self) -> tuple[EmbeddingEntry, ...]:
+        """One entry per point, built from the columns on each read."""
+        diagnostics = (getattr(self, name).tolist() for name in _COLUMNS)
+        rows = zip(self._points, self._images, *diagnostics, self.errors)
+        return tuple(EmbeddingEntry(*row) for row in rows)
+
+    @cached_property
+    def _image_rows(self) -> tuple[tuple[float, ...], ...]:
+        """The image rows as Python floats, for the interpolation kernel."""
+        return tuple(map(tuple, self._images.tolist()))
+
     @classmethod
     def from_pairs(cls, points, images) -> "EmbeddingMap":
-        points = np.asarray(points, dtype=float)
-        images = np.asarray(images, dtype=float)
-        if points.shape != images.shape:
-            raise ValueError("points and images must have matching shapes")
-        entries = tuple(
-            EmbeddingEntry(
-                point=p,
-                image=z,
-                residual_norm=0.0,
-                energy=0.0,
-                iterations=0,
-                converged=True,
-            )
-            for p, z in zip(points, images)
-        )
-        return cls(entries=entries)
+        """The map q -> zeta(q) of finite pairs, each point converged with
+        zero residual and energy; a 1-d pair is one point."""
+        points = check_points_array(points, name="points")
+        images = check_points_array(images, name="images")
+        m = len(points)
+        zeros = np.zeros(m)
+        converged = np.ones(m, dtype=bool)
+        return cls(points, images, zeros, zeros, zeros, converged, zeros, (None,) * m)
 
 
 def _node_rows(emap: EmbeddingMap, lattice: LatticeSpec) -> tuple:

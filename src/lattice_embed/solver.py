@@ -18,7 +18,7 @@ import numpy as np
 from .energy import EnergyParams, check_curvature_term, total_energy, total_gradient
 from .errors import LatticeEmbedError
 from .geometry import ManifoldSpec, closest_point
-from .lattice import EmbeddingEntry, EmbeddingMap, LatticeSpec, generate_lattice
+from .lattice import EmbeddingMap, LatticeSpec, generate_lattice
 from .validation import check_distinct_rows, check_points_array
 
 Array = np.ndarray
@@ -104,7 +104,7 @@ def descend_point(
 
 @dataclass(eq=False)
 class SolveReport:
-    """Batch totals over the entries of one embed_points call."""
+    """Batch totals over the points of one embed_points call."""
 
     attempted: int = 0
     skipped: int = 0
@@ -115,9 +115,10 @@ class SolveReport:
     errors: list[str] = field(default_factory=list)
 
 
-def _solve_one(params, spec, q, config, index) -> EmbeddingEntry:
-    """The entry of one seed point.  A point beyond the support is skipped and
-    one whose solve raises keeps its message; both keep the point as image."""
+def _solve_one(params, spec, q, config, index) -> tuple:
+    """One seed point's row of the map: image, residual norm, energy,
+    iterations, converged, skipped, error.  A point beyond the support is
+    skipped, one whose solve raises keeps its message; both keep q as image."""
     image, residual, energy, iterations = q, float("nan"), float("nan"), 0
     converged = skipped = False
     error = None
@@ -131,16 +132,7 @@ def _solve_one(params, spec, q, config, index) -> EmbeddingEntry:
     except LatticeEmbedError as exc:
         # per-point failures are reported, never abort the batch
         error = f"point {index}: {type(exc).__name__}: {exc}"
-    return EmbeddingEntry(
-        point=q,
-        image=image,
-        residual_norm=residual,
-        energy=energy,
-        iterations=iterations,
-        converged=converged,
-        skipped=skipped,
-        error=error,
-    )
+    return image, residual, energy, iterations, converged, skipped, error
 
 
 def embed_points(
@@ -162,20 +154,20 @@ def embed_points(
     check_distinct_rows(points, "points")
     check_curvature_term(params, spec)
     start = time.perf_counter()
-    emap = EmbeddingMap(
-        entries=[_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
-    )
-    solved = [entry for entry in emap.entries if not entry.skipped]
-    converged = sum(1 for entry in solved if entry.converged)
-    residuals = [e.residual_norm for e in solved if np.isfinite(e.residual_norm)]
+    rows = [_solve_one(params, spec, q, config, i) for i, q in enumerate(points)]
+    emap = EmbeddingMap(points, *zip(*rows))
+    solved = ~emap.skipped
+    attempted = int(np.count_nonzero(solved))
+    converged = int(np.count_nonzero(emap.converged & solved))
+    residuals = emap.residual_norm[solved & np.isfinite(emap.residual_norm)]
     report = SolveReport(
-        attempted=len(solved),
-        skipped=len(emap) - len(solved),
+        attempted=attempted,
+        skipped=len(emap) - attempted,
         converged_count=converged,
-        fraction_converged=converged / len(solved) if solved else 0.0,
-        max_residual=max(residuals) if residuals else 0.0,
+        fraction_converged=converged / attempted if attempted else 0.0,
+        max_residual=float(residuals.max()) if residuals.size else 0.0,
         wall_time=time.perf_counter() - start,
-        errors=[entry.error for entry in emap.entries if entry.error is not None],
+        errors=[error for error in emap.errors if error is not None],
     )
     return emap, report
 
@@ -219,10 +211,8 @@ def verify_stationarity(
     passed = 0
     worst_norm = 0.0
     worst_index = None
-    for index, entry in enumerate(emap.entries):
-        if entry.skipped or not entry.converged:
-            continue
-        norm = float(np.linalg.norm(total_gradient(params, spec, entry.image)))
+    for index in np.flatnonzero(emap.converged & ~emap.skipped).tolist():
+        norm = float(np.linalg.norm(total_gradient(params, spec, emap._images[index])))
         checked += 1
         if norm <= tol:
             passed += 1

@@ -25,8 +25,11 @@ def check_points_array(X, *, expected_dim: int | None = None, name: str = "X") -
 
 def check_distinct_rows(X: Array, name: str) -> None:
     """Raise ValueError at the first row of X equal to an earlier one."""
-    seen = set()
-    for index, key in enumerate(map(tuple, X.tolist())):
-        if key in seen:
-            raise ValueError(f"duplicate lattice point {tuple(X[index])} in {name}")
-        seen.add(key)
+    # a stable row sort puts equal rows next to each other in input order,
+    # so the first repeated row is the smallest index that follows its equal
+    order = np.lexsort(X.T)
+    ordered = X[order]
+    repeats = order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]
+    if repeats.size:
+        index = repeats.min()
+        raise ValueError(f"duplicate lattice point {tuple(X[index])} in {name}")

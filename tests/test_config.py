@@ -176,6 +176,20 @@ def test_digest_keeps_every_bounds_digit(head, long, short):
     assert parse_config(a.to_text()) == a
 
 
+@pytest.mark.parametrize("chart", ["u1;u2;0", "u1 ; u2 ; 0 ;", "  u1;\tu2;  0"])
+def test_digest_follows_the_chart_not_its_spelling(chart):
+    # each spelling compiles the same components, so it is the same run
+    bounds = "manifold.bounds = -1:1, -1:1\n"
+    canonical = parse_config(f"{_CHART}{bounds}")
+    text = f"manifold.kind = parametric\nmanifold.chart = {chart}\n{bounds}"
+    config = parse_config(text)
+    assert config == canonical
+    assert config.digest() == canonical.digest() == "35ea764626a5d811"
+    assert config.get("manifold", "chart") == "u1; u2; 0"
+    assert config.manifold().chart_fn is canonical.manifold().chart_fn
+    assert parse_config(config.to_text()) == config
+
+
 def test_digest_changes_with_values():
     a = parse_config("manifold.kind = plane\n")
     b = parse_config("manifold.kind = plane\nenergy.alpha = 2\n")

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_embed.energy import EnergyParams
@@ -60,6 +61,91 @@ def test_lexicographic_order():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         EmbeddingMap.from_pairs(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def _first_repeat(rows):
+    # reference: the first row equal to an earlier one, by a set of tuples
+    seen = set()
+    for index, row in enumerate(rows):
+        if tuple(row) in seen:
+            return index
+        seen.add(tuple(row))
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example([[1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])  # row 2 repeats first
+@example([[0.0, 1.0], [-0.0, 1.0]])  # 0.0 and -0.0 are one point
+@given(
+    st.lists(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=2, max_size=2),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_duplicate_check_matches_a_set_of_rows(rows):
+    index = _first_repeat(rows)
+    images = np.arange(2.0 * len(rows)).reshape(-1, 2)
+    if index is None:
+        assert len(EmbeddingMap.from_pairs(rows, images)) == len(rows)
+        return
+    with pytest.raises(ValueError) as err:
+        EmbeddingMap.from_pairs(rows, images)
+    point = tuple(np.array(rows[index]))
+    assert str(err.value) == f"duplicate lattice point {point} in map"
+
+
+def test_from_pairs_rejects_non_finite_pairs():
+    # a NaN image would otherwise hide the collision of rows 0 and 2
+    points = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+    images = [[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="images row 1 contains non-finite values"):
+        EmbeddingMap.from_pairs(points, images)
+    with pytest.raises(ValueError, match="points row 0 contains non-finite values"):
+        EmbeddingMap.from_pairs([[math.inf, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="matching shapes"):
+        EmbeddingMap.from_pairs(points, [[0.0, 0.0]])
+
+
+def test_map_columns_need_one_row_per_point():
+    points = np.eye(3)
+    zeros = np.zeros(3)
+    with pytest.raises(ValueError, match="one row per point"):
+        EmbeddingMap(points, points, zeros, zeros, zeros, zeros, zeros[:2], (None,) * 3)
+    with pytest.raises(ValueError, match="one row per point"):
+        EmbeddingMap(points, points, zeros, zeros, zeros, zeros, zeros, (None,) * 2)
+    with pytest.raises(ValueError, match="2-d with matching shapes"):
+        EmbeddingMap(zeros, zeros, zeros, zeros, zeros, zeros, zeros, (None,) * 3)
+    # the map keeps its own copy: writing into the arrays it was given
+    # changes nothing in it
+    emap = EmbeddingMap(points, points, zeros, zeros, zeros, zeros, zeros, [None] * 3)
+    points[:] = 5.0
+    zeros[:] = 1.0
+    assert np.array_equal(emap.images(), np.eye(3))
+    assert not emap.converged.any() and emap.errors == (None, None, None)
+
+
+def test_from_pairs_reads_a_one_dimensional_pair_as_one_point():
+    emap = EmbeddingMap.from_pairs([1.0, 2.0], [3.0, 4.0])
+    assert len(emap) == 1
+    assert emap.points().tolist() == [[1.0, 2.0]]
+    assert emap.images().tolist() == [[3.0, 4.0]]
+
+
+def test_from_pairs_memory_per_point():
+    # one copy of the coordinates (48 B per 3-D pair) plus the diagnostic
+    # columns: no per-point objects
+    m = 100_000
+    points, images = np.random.default_rng(29).standard_normal((2, m, 3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emap = EmbeddingMap.from_pairs(points, images)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(emap) == m
+    assert retained / m <= 150
 
 
 # --- interpolation ----------------------------------------------------------

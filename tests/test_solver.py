@@ -212,6 +212,35 @@ def test_embed_aggregates_per_point_errors():
     assert emap.entries[1].converged
 
 
+def test_embed_columns_are_the_entries():
+    # an errored point, a converged one and one beyond the support
+    params = EnergyParams(alpha=1.0, beta=2.0, tube_radius=0.4)
+    points = [[0.0, 0.0, 1.5], [0.0, 1.2, 0.0], [0.0, 3.0, 0.0]]
+    emap, _ = embed_points(params, SPHERE, points, SolverConfig())
+    columns = {
+        "residual_norm": np.floating,
+        "energy": np.floating,
+        "iterations": np.integer,
+        "converged": np.bool_,
+        "skipped": np.bool_,
+    }
+    entries = emap.entries
+    for name, kind in columns.items():
+        column = getattr(emap, name)
+        assert column.shape == (3,) and np.issubdtype(column.dtype, kind), name
+        assert not column.flags.writeable, name
+        # the entries hold Python scalars read from the column
+        values = [getattr(entry, name) for entry in entries]
+        assert [type(v) for v in values] == [type(v) for v in column.tolist()], name
+        assert np.array_equal(column, values, equal_nan=kind is np.floating), name
+    assert [entry.error is None for entry in entries] == [False, True, True]
+    assert emap.errors == tuple(entry.error for entry in entries)
+    assert [entry.skipped for entry in entries] == [False, False, True]
+    assert [entry.converged for entry in entries] == [False, True, False]
+    assert np.array_equal([entry.image for entry in entries], emap.images())
+    assert np.array_equal([entry.point for entry in entries], points)
+
+
 def test_verify_stationarity_thresholds():
     lattice = LatticeSpec(
         bounds=np.array([[0.0, 0.2], [0.0, 0.2], [0.05, 0.05]]), spacing=0.1
